@@ -122,8 +122,11 @@ def _base_params(args) -> ProtocolParams:
 
 
 def cmd_bounds(args) -> OutputEnvelope:
-    grid = parse_grid(args.alpha_grid) if args.alpha_grid else [args.alpha]
-    if grid is None or not grid:
+    if args.alpha_grid:
+        grid = parse_grid(args.alpha_grid)
+    else:
+        grid = [] if args.alpha is None else [args.alpha]
+    if not grid:
         raise UsageError("bounds needs --alpha or --alpha-grid")
     for a in grid:
         if not 0.0 <= a < 0.5:

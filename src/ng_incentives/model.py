@@ -5,6 +5,7 @@ invariant so downstream code never sees an out-of-range parameter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -54,6 +55,9 @@ class ProtocolParams:
 
 def validate(params: ProtocolParams) -> ProtocolParams:
     """Check every parameter invariant; return params unchanged if valid."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        _require(value is None or math.isfinite(value), f"{f.name} must be finite")
     _require(0.0 <= params.alpha <= 1.0, "alpha out of [0,1]")
     _require(0.0 <= params.gamma <= 1.0, "gamma out of [0,1]")
     _require(0.0 <= params.split_ratio <= 1.0, "split_ratio out of [0,1]")

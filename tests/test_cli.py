@@ -59,6 +59,8 @@ def test_bounds_grid_and_empty_class(capsys):
 def test_bounds_rejects_bad_grid(capsys):
     code, _, err = _run(capsys, "bounds", "--alpha-grid", "0.1:0.7:0.1")
     assert code == 1 and "error" in err
+    code, _, err = _run(capsys, "bounds")
+    assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_revenue_rows(capsys):

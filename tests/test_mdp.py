@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -9,9 +11,9 @@ from ng_incentives.mdp import (
     MdpAction,
     MdpState,
     RewardTuple,
+    SolverError,
     build_transitions,
     enumerate_states,
-    policy_actions,
     scalarize,
     solve,
 )
@@ -268,7 +270,44 @@ def test_policy_lookup_and_bounds():
     params = ProtocolParams(alpha=0.3, gamma=0.5, split_ratio=0.4)
     result = solve(build_transitions(params, 8), RewardWeights.fee_dominated())
     start = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
-    assert policy_actions(result, start) in ACTION_ORDER
-    assert result.action(start) == policy_actions(result, start)
+    assert result.action(start) in ACTION_ORDER
     with pytest.raises(ValueError):
-        policy_actions(result, MdpState(50, 0, Fork.NO_TIE, LastMicro.H_IN))
+        result.action(MdpState(50, 0, Fork.NO_TIE, LastMicro.H_IN))
+
+
+def test_tables_at_one_truncation_do_not_share_filled_values():
+    # Tables with the same truncation share one cached skeleton; filling in a
+    # second parameter point must leave the first table untouched.
+    first = build_transitions(PARAMS, truncation=8)
+    weights = RewardWeights.fee_dominated()
+    revenue = solve(first, weights).revenue
+    state = MdpState(5, 3, Fork.NO_TIE, LastMicro.H_IN)
+    row = _rows(first.outcomes(state, MdpAction.MATCH))
+
+    other = ProtocolParams(alpha=0.42, gamma=0.9, split_ratio=0.75)
+    solve(build_transitions(other, truncation=8), RewardWeights.equal())
+
+    assert _rows(first.outcomes(state, MdpAction.MATCH)) == row
+    assert row[1] == (
+        MdpState(2, 1, Fork.NO_TIE, LastMicro.S_P),
+        GAMMA * (1 - ALPHA),
+        RewardTuple(0.0, R, 3, 2 + (1 - R)),
+    )
+    assert solve(first, weights).revenue == revenue
+
+
+def _solve_without_iterations(alpha: float) -> float:
+    params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=0.4)
+    return solve(build_transitions(params, 4), RewardWeights.equal(), max_inner=1).revenue
+
+
+def test_solver_error_crosses_process_pool():
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        futures = [pool.submit(_solve_without_iterations, a) for a in (0.2, 0.3)]
+        for future in futures:
+            with pytest.raises(SolverError) as info:
+                future.result(timeout=60)
+            assert info.value.iterations == 1
+            assert info.value.span > 0.0
+            assert "iterations=1" in str(info.value)

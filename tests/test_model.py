@@ -31,6 +31,12 @@ def test_defaults_are_valid():
         {"key_block_reward": -1.0},
         {"microblock_fee": -0.5},
         {"expected_microblock_fee": 1.0, "microblock_fee": 2.5},
+        {"key_rate": math.inf},
+        {"micro_rate": math.inf},
+        {"key_block_reward": math.inf},
+        {"microblock_fee": math.inf},
+        {"expected_microblock_fee": math.inf},
+        {"alpha": math.nan},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
