@@ -18,7 +18,6 @@ from .closedform import (
 from .concentration import (
     PairCounts,
     count_pairs,
-    empirical_pair_deviation,
     empirical_pair_summary,
     pair_deviation_bound,
 )
@@ -35,7 +34,6 @@ from .model import (
     ParameterError,
     ProtocolParams,
     RewardWeights,
-    interval_fee_ratio,
     load_config,
     params_from_config,
     parse_config_text,
@@ -68,7 +66,6 @@ __all__ = [
     "ratio_bounds",
     "PairCounts",
     "count_pairs",
-    "empirical_pair_deviation",
     "empirical_pair_summary",
     "pair_deviation_bound",
     "Fork",
@@ -81,7 +78,6 @@ __all__ = [
     "ParameterError",
     "ProtocolParams",
     "RewardWeights",
-    "interval_fee_ratio",
     "load_config",
     "params_from_config",
     "parse_config_text",

@@ -177,16 +177,11 @@ def cmd_revenue(args) -> OutputEnvelope:
     return OutputEnvelope(args.format, _metadata(meta), rows)
 
 
-def _mdp_task(task: tuple[float, float, float, str, int, float, float]) -> dict:
-    alpha, r, gamma, regime, L, eps_inner, eps_outer = task
+def _mdp_task(task: tuple[float, float, float, str, int]) -> dict:
+    alpha, r, gamma, regime, L = task
     params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=r)
     table = build_transitions(params, L)
-    result = solve(
-        table,
-        RewardWeights.from_regime(regime),
-        eps_inner=eps_inner,
-        eps_outer=eps_outer,
-    )
+    result = solve(table, RewardWeights.from_regime(regime))
     return {
         "alpha": alpha,
         "regime": regime,
@@ -212,7 +207,7 @@ def cmd_mdp(args) -> OutputEnvelope:
     else:
         points = [(params.alpha, params.split_ratio)]
     tasks = [
-        (alpha, r, params.gamma, regime, args.L, args.eps_inner, args.eps_outer)
+        (alpha, r, params.gamma, regime, args.L)
         for alpha, r in points
         for regime in regimes
     ]
@@ -222,13 +217,7 @@ def cmd_mdp(args) -> OutputEnvelope:
             rows = list(pool.map(_mdp_task, tasks))
     else:
         rows = [_mdp_task(t) for t in tasks]
-    meta = {
-        "command": "mdp",
-        "gamma": params.gamma,
-        "truncation": args.L,
-        "eps_inner": args.eps_inner,
-        "eps_outer": args.eps_outer,
-    }
+    meta = {"command": "mdp", "gamma": params.gamma, "truncation": args.L}
     return OutputEnvelope(args.format, _metadata(meta), rows)
 
 
@@ -381,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fee, equal, or key; repeatable; default all three",
     )
     p.add_argument("--L", type=int, default=20, help="chain-length truncation")
-    p.add_argument("--eps-inner", type=float, default=1e-7)
-    p.add_argument("--eps-outer", type=float, default=1e-5)
     common(p)
     p.set_defaults(func=cmd_mdp)
 
@@ -433,22 +420,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        envelope = args.func(args)
+        text = args.func(args).render()
+        if args.out:
+            args.out.write_text(text + ("\n" if not text.endswith("\n") else ""))
+        else:
+            print(text)
     except SolverError as exc:
         print(
-            f"error: solver failed to converge ({exc}); "
-            "try a larger --eps-inner or smaller --L",
+            f"error: solver failed to converge ({exc}); try a smaller --L",
             file=sys.stderr,
         )
         return 1
     except (UsageError, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = envelope.render()
-    if args.out:
-        args.out.write_text(text + ("\n" if not text.endswith("\n") else ""))
-    else:
-        print(text)
     return 0
 
 

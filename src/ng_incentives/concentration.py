@@ -36,16 +36,6 @@ def count_pairs(bits: Sequence[int]) -> PairCounts:
     return PairCounts(z=z, k=k, m=len(bits))
 
 
-def chernoff_dependent_sum_bound(mu: float, delta: float) -> float:
-    """Lower-tail bound exp(-delta^2 * mu / 2) for a sum split into
-    interleaved classes of independent indicators, per class."""
-    if not 0.0 < delta < 1.0:
-        raise SequenceError("delta must be in (0,1)")
-    if mu < 0.0:
-        raise SequenceError("mu must be nonnegative")
-    return math.exp(-delta * delta * mu / 2.0)
-
-
 def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     """Two-sided bound on Pr(|Z - ab(m-1)| > delta * ab(m-1)), ab = alpha*beta.
 
@@ -65,6 +55,10 @@ def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     return 4.0 * math.exp(-delta * delta * ab * (m - 1) / 4.0)
 
 
+# Trials per vectorized batch; bounds the (batch, m) draw array.
+_BATCH = 512
+
+
 @dataclass(frozen=True)
 class PairDeviationSummary:
     deviation_fraction: float
@@ -79,13 +73,13 @@ def empirical_pair_summary(
     delta: float,
     trials: int,
     seed: int,
-    chunk: int = 512,
 ) -> PairDeviationSummary:
     """Monte Carlo estimate of how often Z deviates from alpha*beta*(m-1)
     by more than the delta fraction, plus the mean of Z itself.
 
     Each sequence draws every bit Bernoulli(alpha) with the first bit forced
-    to 0.  Deterministic for a fixed seed.
+    to 0.  Trials run in batches of _BATCH rows drawn row-major from one
+    generator, so the result depends on the seed and not on the batch size.
     """
     if trials < 1:
         raise SequenceError("trials must be at least 1")
@@ -100,7 +94,7 @@ def empirical_pair_summary(
     z_sum = 0
     remaining = trials
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(_BATCH, remaining)
         x = rng.random((n, m)) < alpha
         x[:, 0] = False
         z = np.count_nonzero(x[:, :-1] & ~x[:, 1:], axis=1)
@@ -113,15 +107,3 @@ def empirical_pair_summary(
         expected_pairs=center,
         trials=trials,
     )
-
-
-def empirical_pair_deviation(
-    alpha: float,
-    m: int,
-    delta: float,
-    trials: int,
-    seed: int,
-    chunk: int = 512,
-) -> float:
-    """Fraction of trials whose Z deviates by more than the delta fraction."""
-    return empirical_pair_summary(alpha, m, delta, trials, seed, chunk).deviation_fraction

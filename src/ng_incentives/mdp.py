@@ -363,7 +363,6 @@ class SolveResult:
     revenue: float
     policy: dict[MdpState, MdpAction]
     outer_iterations: int
-    inner_tolerance: float
     truncation: int
     weights: RewardWeights
 
@@ -389,13 +388,17 @@ class SolverError(RuntimeError):
         return f"{message} (iterations={iterations}, span={span:.3e})"
 
 
+# Solver constants: the inner (value iteration span) and outer (revenue
+# bracket width) tolerances, the inner iteration cap, and the self-loop
+# damping of the value iteration.
+_EPS_INNER = 1e-7
+_EPS_OUTER = 1e-5
+_MAX_INNER = 500_000
+_DAMPING = 0.995
+
+
 def _gain(
-    table: TransitionTable,
-    reward: np.ndarray,
-    values: np.ndarray,
-    eps: float,
-    max_iterations: int,
-    damping: float,
+    table: TransitionTable, reward: np.ndarray, values: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray, int]:
     """Optimal average of the transformed reward by relative value iteration.
 
@@ -403,26 +406,19 @@ def _gain(
     changing the average reward.  Returns (gain, bias values, iterations).
     """
     v = values
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_INNER + 1):
         q = reward + table.transition @ v
         best = q.reshape(len(ACTION_ORDER), -1).max(axis=0)
-        mixed = (1.0 - damping) * v + damping * best
+        mixed = (1.0 - _DAMPING) * v + _DAMPING * best
         diff = mixed - v
         lo, hi = diff.min(), diff.max()
         v = mixed - mixed[0]
-        if (hi - lo) / damping < eps:
-            return (hi + lo) / (2.0 * damping), v, iteration
-    raise SolverError("value iteration did not converge", max_iterations, hi - lo)
+        if (hi - lo) / _DAMPING < eps:
+            return (hi + lo) / (2.0 * _DAMPING), v, iteration
+    raise SolverError("value iteration did not converge", _MAX_INNER, hi - lo)
 
 
-def solve(
-    table: TransitionTable,
-    weights: RewardWeights,
-    eps_inner: float = 1e-7,
-    eps_outer: float = 1e-5,
-    max_inner: int = 500_000,
-    damping: float = 0.995,
-) -> SolveResult:
+def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     """Optimal relative revenue over the truncated state space.
 
     Bisects the candidate revenue w on [0, 1]: the optimal transformed
@@ -430,8 +426,6 @@ def solve(
     it.  Early bisection steps run the inner iteration at a coarser
     tolerance proportional to the bracket width.
     """
-    if eps_inner <= 0 or eps_outer <= 0:
-        raise ValueError("tolerances must be positive")
     r_self, r_total = table.expected_rewards(weights)
     # Unavailable pairs never win a max: their reward -inf - w * 0 stays -inf.
     r_self[~table.available] = -np.inf
@@ -439,10 +433,10 @@ def solve(
     v = np.zeros(len(table.states))
     v_low = v
     outer = 0
-    while hi - lo > eps_outer:
+    while hi - lo > _EPS_OUTER:
         w = 0.5 * (lo + hi)
-        eps = max(eps_inner, (hi - lo) * 1e-3)
-        g, v, _ = _gain(table, r_self - w * r_total, v, eps, max_inner, damping)
+        eps = max(_EPS_INNER, (hi - lo) * 1e-3)
+        g, v, _ = _gain(table, r_self - w * r_total, v, eps)
         outer += 1
         if g > 0:
             lo, v_low = w, v
@@ -454,7 +448,6 @@ def solve(
         revenue=0.5 * (lo + hi),
         policy={s: ACTION_ORDER[a] for s, a in zip(table.states, actions.tolist())},
         outer_iterations=outer,
-        inner_tolerance=eps_inner,
         truncation=table.truncation,
         weights=weights,
     )

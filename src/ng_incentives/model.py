@@ -27,22 +27,11 @@ class ProtocolParams:
     gamma: fraction of honest power mining the selfish branch during a tie.
     split_ratio: fee fraction paid to the first (issuing) leader; the next
         key-block miner gets the remaining 1 - split_ratio.
-    key_rate: key blocks per second (> 0).
-    micro_rate: microblocks per second (>= 0).
-    key_block_reward: reward for one key block.
-    microblock_fee: total fee carried by one regular microblock.
-    expected_microblock_fee: optional whale-adjusted mean microblock fee;
-        must be >= microblock_fee when given.
     """
 
     alpha: float = 0.3
     gamma: float = 0.5
     split_ratio: float = 0.4
-    key_rate: float = 0.01
-    micro_rate: float = 0.05
-    key_block_reward: float = 12.5
-    microblock_fee: float = 2.5
-    expected_microblock_fee: float | None = None
 
     def __post_init__(self) -> None:
         validate(self)
@@ -56,40 +45,11 @@ class ProtocolParams:
 def validate(params: ProtocolParams) -> ProtocolParams:
     """Check every parameter invariant; return params unchanged if valid."""
     for f in fields(params):
-        value = getattr(params, f.name)
-        _require(value is None or math.isfinite(value), f"{f.name} must be finite")
+        _require(math.isfinite(getattr(params, f.name)), f"{f.name} must be finite")
     _require(0.0 <= params.alpha <= 1.0, "alpha out of [0,1]")
     _require(0.0 <= params.gamma <= 1.0, "gamma out of [0,1]")
     _require(0.0 <= params.split_ratio <= 1.0, "split_ratio out of [0,1]")
-    _require(params.key_rate > 0.0, "key_rate must be positive")
-    _require(params.micro_rate >= 0.0, "micro_rate must be nonnegative")
-    _require(params.key_block_reward >= 0.0, "key_block_reward must be nonnegative")
-    _require(params.microblock_fee >= 0.0, "microblock_fee must be nonnegative")
-    if params.expected_microblock_fee is not None:
-        _require(
-            params.expected_microblock_fee >= params.microblock_fee,
-            "expected_microblock_fee must be >= microblock_fee",
-        )
     return params
-
-
-def interval_fee_ratio(params: ProtocolParams) -> float:
-    """Ratio of one key-block reward to the fees of one key-block interval.
-
-    An interval carries micro_rate/key_rate microblocks.  With a whale-adjusted
-    expected_microblock_fee present, that mean is used in place of the regular
-    microblock fee, which lowers the ratio.
-    """
-    if params.micro_rate == 0.0:
-        raise ParameterError("micro_rate must be positive to form the fee ratio")
-    fee = (
-        params.expected_microblock_fee
-        if params.expected_microblock_fee is not None
-        else params.microblock_fee
-    )
-    if fee == 0.0:
-        raise ParameterError("microblock fee must be positive to form the fee ratio")
-    return params.key_block_reward * params.key_rate / (params.micro_rate * fee)
 
 
 @dataclass(frozen=True)
@@ -135,14 +95,14 @@ class RewardWeights:
 
 
 _PARAM_FIELDS = {f.name for f in fields(ProtocolParams)}
-_ALIASES = {"r": "split_ratio", "f": "key_rate", "v": "micro_rate"}
+_ALIASES = {"r": "split_ratio"}
 
 
 def parse_config_text(text: str) -> dict[str, float]:
     """Parse a flat ``name = value`` config into a field dict.
 
-    Lines starting with '#' and blank lines are skipped.  Short aliases
-    r/f/v map to split_ratio/key_rate/micro_rate.
+    Lines starting with '#' and blank lines are skipped.  The short alias r
+    maps to split_ratio.
     """
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -2,9 +2,10 @@
 revenue formulas and the decision-process solver.
 
 Key blocks arrive as a Poisson process; each interval carries a continuous
-fee mass of micro_rate * interval * microblock_fee, split between the
-issuing leader (fraction r) and the next key-block miner (1 - r).  Attacks
-orphan part of the fee mass of the intervals they touch.
+fee mass proportional to its length, in fee units (one unit = the fees of a
+mean-length interval), split between the issuing leader (fraction r) and
+the next key-block miner (1 - r).  Attacks orphan part of the fee mass of
+the intervals they touch.
 """
 from __future__ import annotations
 
@@ -142,14 +143,13 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
 
     selfish = rng.random(m) < p.alpha
     selfish[0] = False  # starting ancestor block is honest by convention
+    # Continuous fee mass per interval, in fee units: the interval length in
+    # units of the mean interval.
     if config.interval_mode == "exponential":
-        intervals = rng.exponential(1.0 / p.key_rate, m - 1)
+        fee_mass = rng.exponential(1.0, m - 1)
     else:
-        intervals = np.full(m - 1, 1.0 / p.key_rate)
+        fee_mass = np.ones(m - 1)
 
-    # Continuous fee mass per interval, in fee units (one unit = fees of the
-    # microblocks produced in a mean-length interval).
-    fee_mass = intervals * p.key_rate
     r = p.split_ratio
     leader = selfish[:-1]
     nxt = selfish[1:]

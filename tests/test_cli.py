@@ -181,6 +181,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload[0]["alpha"] == 0.2
 
 
+def test_out_flag_unwritable_path_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "bounds.json"
+    code, out, err = _run(
+        capsys, "bounds", "--alpha", "0.25", "--out", str(target)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("alpha = 0.3\nr = 0.2\n")

@@ -26,14 +26,6 @@ def test_pair_counts_differ_by_at_most_one(bits):
     assert pc.z + pc.k <= pc.m - 1
 
 
-def test_dependent_sum_bound_value():
-    assert cc.chernoff_dependent_sum_bound(100.0, 0.5) == pytest.approx(
-        math.exp(-0.5 * 0.5 * 100.0 / 2.0)
-    )
-    with pytest.raises(cc.SequenceError):
-        cc.chernoff_dependent_sum_bound(10.0, 1.5)
-
-
 def test_pair_deviation_bound_explicit_constant():
     alpha, m, delta = 0.3, 10_001, 0.1
     expected = 4.0 * math.exp(-(0.1**2) * 0.3 * 0.7 * 10_000 / 4.0)
@@ -64,15 +56,19 @@ def test_empirical_summary_degenerate_alpha():
 
 
 def test_empirical_deviation_matches_direct_counting():
-    # cross-check the vectorized trial loop against count_pairs
-    alpha, m, delta, seed = 0.4, 200, 0.3, 7
-    frac = cc.empirical_pair_deviation(alpha, m, delta, trials=300, seed=seed)
+    # Cross-check the batched trial loop against count_pairs over one draw
+    # of all trials at once; more trials than one batch, so the result must
+    # not depend on where the batches split.
+    alpha, m, delta, seed, trials = 0.4, 60, 0.3, 7, 1_100
+    summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     center = alpha * (1 - alpha) * (m - 1)
-    hits = 0
-    x = rng.random((300, m)) < alpha
+    hits = z_sum = 0
+    x = rng.random((trials, m)) < alpha
     x[:, 0] = False
     for row in x:
         z = cc.count_pairs(row.astype(int)).z
         hits += abs(z - center) > delta * center
-    assert frac == pytest.approx(hits / 300)
+        z_sum += z
+    assert summary.deviation_fraction == hits / trials
+    assert summary.mean_z == z_sum / trials

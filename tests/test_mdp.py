@@ -2,8 +2,13 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
+from ng_incentives import mdp
+from ng_incentives.cli import main
 from ng_incentives.mdp import (
     ACTION_ORDER,
     Fork,
@@ -296,18 +301,86 @@ def test_tables_at_one_truncation_do_not_share_filled_values():
     assert solve(first, weights).revenue == revenue
 
 
-def _solve_without_iterations(alpha: float) -> float:
-    params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=0.4)
-    return solve(build_transitions(params, 4), RewardWeights.equal(), max_inner=1).revenue
+def test_solver_error_carries_iteration_state(monkeypatch, capsys):
+    monkeypatch.setattr(mdp, "_MAX_INNER", 1)
+    params = ProtocolParams(alpha=0.3, gamma=0.5, split_ratio=0.4)
+    with pytest.raises(SolverError) as info:
+        solve(build_transitions(params, 4), RewardWeights.equal())
+    assert info.value.iterations == 1
+    assert info.value.span > 0.0
+    assert "iterations=1" in str(info.value)
+
+    monkeypatch.setenv("NG_INCENTIVES_THREADS", "1")
+    assert main(["mdp", "--alpha", "0.3", "--regime", "fee", "--L", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed") and len(err.splitlines()) == 1
+
+
+def _raise_solver_error(span: float) -> None:
+    raise SolverError("value iteration did not converge", 1, span)
 
 
 def test_solver_error_crosses_process_pool():
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
-        futures = [pool.submit(_solve_without_iterations, a) for a in (0.2, 0.3)]
-        for future in futures:
+        futures = [pool.submit(_raise_solver_error, s) for s in (0.25, 0.5)]
+        for future, span in zip(futures, (0.25, 0.5)):
             with pytest.raises(SolverError) as info:
                 future.result(timeout=60)
             assert info.value.iterations == 1
-            assert info.value.span > 0.0
+            assert info.value.span == span
             assert "iterations=1" in str(info.value)
+
+
+# ------------------------------------------------- Eyal-Sirer SM1 oracle
+
+
+def _sm1_action(table, state: MdpState) -> MdpAction:
+    """Eyal-Sirer SM1 as an MDP action; where the truncation boundary
+    removes that action, override if possible, else adopt."""
+    l_a, l_h, fork, _ = state
+    if l_h > l_a:
+        action = MdpAction.ADOPT
+    elif l_a == l_h + 1 >= 2:
+        action = MdpAction.OVERRIDE
+    elif l_a == l_h >= 1 and fork == Fork.NO_TIE:
+        action = MdpAction.MATCH
+    else:
+        action = MdpAction.WAIT
+    available = table.actions(state)
+    if action in available:
+        return action
+    return MdpAction.OVERRIDE if MdpAction.OVERRIDE in available else MdpAction.ADOPT
+
+
+def _policy_value(table, weights, actions: list[MdpAction]) -> float:
+    """Exact long-run revenue ratio of a fixed policy, one action per state
+    in table.states order, from its stationary distribution."""
+    n = len(table.states)
+    rows = [ACTION_ORDER.index(a) * n + i for i, a in enumerate(actions)]
+    chain = table.transition[rows]
+    # pi (P - I) = 0 with the first balance equation replaced by sum(pi) = 1.
+    system = (chain.T - sparse.identity(n)).tolil()
+    system[0, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    pi = spsolve(system.tocsc(), rhs)
+    r_self, r_total = table.expected_rewards(weights)
+    return float(pi @ r_self[rows]) / float(pi @ r_total[rows])
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3])
+def test_sm1_policy_value_matches_eyal_sirer_closed_form(alpha):
+    # "Majority is not Enough" (arXiv:1311.0243): SM1's relative revenue.
+    # At alpha = 0.4, truncation at L = 20 cuts long selfish runs visibly.
+    gamma = 0.5
+    closed = (
+        alpha * (1 - alpha) ** 2 * (4 * alpha + gamma * (1 - 2 * alpha)) - alpha**3
+    ) / (1 - alpha * (1 + (2 - alpha) * alpha))
+    params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=0.4)
+    table = build_transitions(params, truncation=20)
+    weights = RewardWeights.key_dominated()
+    actions = [_sm1_action(table, s) for s in table.states]
+    sm1 = _policy_value(table, weights, actions)
+    assert sm1 == pytest.approx(closed, abs=1e-4)
+    assert solve(table, weights).revenue >= sm1
