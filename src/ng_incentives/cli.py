@@ -386,7 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1_000_000, help="key-block horizon")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--interval-mode", choices=("exponential", "deterministic"), default="exponential"
+        "--interval-mode",
+        choices=("exponential", "deterministic"),
+        default="exponential",
+        help="interval lengths for honest/inclusion/extension; the mdpPolicy "
+        "rollout counts one fee unit per interval and ignores this",
     )
     p.add_argument("--regime", choices=REGIMES, default=None)
     p.add_argument("--L", type=int, default=20)

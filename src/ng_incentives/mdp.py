@@ -365,6 +365,7 @@ class SolveResult:
     outer_iterations: int
     truncation: int
     weights: RewardWeights
+    params: ProtocolParams  # the parameter point the policy was solved for
 
     def action(self, state: MdpState) -> MdpAction:
         """Solved policy's action at a state; errors outside the truncation."""
@@ -450,4 +451,5 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
         outer_iterations=outer,
         truncation=table.truncation,
         weights=weights,
+        params=table.params,
     )

@@ -5,12 +5,14 @@ Key blocks arrive as a Poisson process; each interval carries a continuous
 fee mass proportional to its length, in fee units (one unit = the fees of a
 mean-length interval), split between the issuing leader (fraction r) and
 the next key-block miner (1 - r).  Attacks orphan part of the fee mass of
-the intervals they touch.
+the intervals they touch.  The rollout of a solved selfish-mining policy
+instead counts one fee unit per key-block interval, as the decision
+process does, so it ignores the interval mode.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -193,204 +195,239 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     )
 
 
-@dataclass
-class _Ledger:
-    """Reward accumulator for the policy rollout."""
+# Draw codes of one key block: the selfish miner finds it (u < alpha); an
+# honest miner finds it on the published selfish branch of a race
+# (u < alpha + gamma * (1 - alpha)); an honest miner finds it on the honest
+# branch.  Outside a race only the first distinction matters.
+_CODES = 3
+_SELFISH, _MATCH_WIN, _HONEST = range(_CODES)
+# Ledger delta fields of one step, in this order.
+_R_A, _R_H, _T_A, _T_H, _ORPHANED = range(5)
+_NO_DELTA = (0.0, 0.0, 0.0, 0.0, 0.0)
+_SLICE = 2048  # draws per generator call and scan, to keep both small
+_BATCHES = 512  # batch means behind the rollout's standard error
 
-    r_a: float = 0.0
-    r_h: float = 0.0
-    t_a: float = 0.0
-    t_h: float = 0.0
-    orphaned: float = 0.0
-    batches: list = field(default_factory=list)
 
-    def leading_unit(self, last: LastMicro, next_selfish: bool, r: float) -> None:
-        # The old ancestor's interval finalizes: assigned by who mined the
-        # first block after the ancestor and by the microblock disposition.
-        if last == LastMicro.H_IN:
-            if next_selfish:
-                self.t_h += r
-                self.t_a += 1.0 - r
-            else:
-                self.t_h += 1.0
-        elif last == LastMicro.H_EX:
-            if next_selfish:
-                self.orphaned += 1.0
-            else:
-                self.t_h += 1.0
-        elif last == LastMicro.S_P:
-            if next_selfish:
-                self.t_a += 1.0
-            else:
-                self.t_a += r
-                self.t_h += 1.0 - r
-        else:  # S_H
-            if next_selfish:
-                self.t_a += 1.0
-            else:
-                self.orphaned += 1.0
+def _show(state: MdpState) -> str:
+    l_a, l_h, fork, last = state
+    return f"({l_a}, {l_h}, {Fork(fork).name}, {LastMicro(last).name})"
+
+
+def _leading_unit(last: LastMicro, next_selfish: bool, r: float) -> tuple:
+    """(t_a, t_h, orphaned) shares of the old ancestor's interval when it
+    finalizes: assigned by who mined the first block after the ancestor and
+    by the microblock disposition."""
+    if last == LastMicro.H_IN:
+        return (1.0 - r, r, 0.0) if next_selfish else (0.0, 1.0, 0.0)
+    if last == LastMicro.H_EX:
+        return (0.0, 0.0, 1.0) if next_selfish else (0.0, 1.0, 0.0)
+    if last == LastMicro.S_P:
+        return (1.0, 0.0, 0.0) if next_selfish else (r, 1.0 - r, 0.0)
+    return (1.0, 0.0, 0.0) if next_selfish else (0.0, 0.0, 1.0)  # S_H
+
+
+def _finalize(n: int, selfish_owner: bool, last: LastMicro, r: float) -> tuple:
+    """Ledger delta of a stretch of n key blocks finalizing to one owner:
+    n key rewards, the n - 1 interior fee units and the leading unit."""
+    t_a, t_h, orphaned = _leading_unit(last, selfish_owner, r)
+    if selfish_owner:
+        return (float(n), 0.0, t_a + (n - 1), t_h, orphaned)
+    return (0.0, float(n), t_a, t_h + (n - 1), orphaned)
+
+
+def _step(state: MdpState, action: MdpAction, code: int, r: float) -> tuple:
+    """Chain semantics of one action: (next state, ledger delta).
+
+    Every action but REVERT mines one key block, whose draw code is code;
+    REVERT changes only the microblock disposition and ignores code.  The
+    ledger delta is (r_a, r_h, t_a, t_h, orphaned).  Raises ValueError where
+    the action does not apply in the state.
+    """
+    l_a, l_h, fork, last = state
+    selfish = code == _SELFISH
+    delta, n = _NO_DELTA, 1
+    if action == MdpAction.REVERT:
+        if fork == Fork.TIE_PRIME:
+            # Publish the matched branch's hidden trailing microblocks.
+            return MdpState(l_a, l_h, Fork.TIE, last), _NO_DELTA
+        if last == LastMicro.S_H and l_h == 0:
+            # No honest block contests the ancestor: publish its microblocks.
+            return MdpState(l_a, l_h, fork, LastMicro.S_P), _NO_DELTA
+        if last == LastMicro.H_EX and l_a == 0:
+            # No selfish block commits to the exclusion: re-accept.
+            return MdpState(l_a, l_h, fork, LastMicro.H_IN), _NO_DELTA
+        raise ValueError(f"revert has no target in state {_show(state)}")
+    if action in (MdpAction.ADOPT, MdpAction.ADOPT_E):
+        n, delta = l_h, _finalize(l_h, False, last, r)
+        landing = LastMicro.H_IN if action == MdpAction.ADOPT else LastMicro.H_EX
+        target = (1, 0) if selfish else (0, 1)
+        following = MdpState(*target, Fork.NO_TIE, landing)
+    elif action in (MdpAction.OVERRIDE, MdpAction.OVERRIDE_H):
+        n, delta = l_h + 1, _finalize(l_h + 1, True, last, r)
+        landing = LastMicro.S_P if action == MdpAction.OVERRIDE else LastMicro.S_H
+        remaining = l_a - l_h - 1
+        target = (remaining + 1, 0) if selfish else (remaining, 1)
+        following = MdpState(*target, Fork.NO_TIE, landing)
+    elif action == MdpAction.WAIT and fork == Fork.NO_TIE:
+        following = MdpState(l_a + selfish, l_h + (not selfish), fork, last)
+    elif action in (MdpAction.MATCH, MdpAction.MATCH_H, MdpAction.WAIT):
+        if action == MdpAction.MATCH:
+            tie_kind = Fork.TIE
+        elif action == MdpAction.MATCH_H:
+            tie_kind = Fork.TIE_PRIME
+        else:
+            tie_kind = fork
+        if selfish:
+            # Selfish block extends the private branch; the tie persists.
+            following = MdpState(l_a + 1, l_h, tie_kind, last)
+        elif code == _MATCH_WIN:
+            # Honest block lands on the published selfish branch: the
+            # matched l_h selfish blocks finalize.
+            n, delta = l_h, _finalize(l_h, True, last, r)
+            landing = LastMicro.S_P if tie_kind == Fork.TIE else LastMicro.S_H
+            following = MdpState(l_a - l_h, 1, Fork.NO_TIE, landing)
+        else:
+            # Honest block extends the honest branch; the tie is broken.
+            following = MdpState(l_a, l_h + 1, Fork.NO_TIE, last)
+    else:
+        raise ValueError(f"unknown action {action!r} in state {_show(state)}")
+    if n < 1 or following.l_a < 0:
+        raise ValueError(
+            f"{action.value} gives a negative chain length in state {_show(state)}"
+        )
+    return following, delta
+
+
+def _compile(result: SolveResult, r: float) -> tuple:
+    """Tabulate a policy's rollout: entry _CODES * i + code stands for state
+    i of result.policy followed by a key block with that draw code.
+
+    Returns the entry base _CODES * j of the next state per entry (a list,
+    for fast scalar indexing), the ledger delta per entry, the truncation
+    boundary visits per entry and the start state's entry base.  A chain of
+    REVERTs folds into the drawing step after it, which also counts the
+    chain's boundary visits.  Raises ValueError, naming the state, where
+    the policy cannot be followed.
+    """
+    policy = result.policy
+    index = {state: i for i, state in enumerate(policy)}
+    L = result.truncation
+
+    def entry(source: MdpState, action: MdpAction, target: MdpState) -> int:
+        if target not in index:
+            raise ValueError(
+                f"{action.value} in state {_show(source)} leads to {_show(target)},"
+                f" a state the policy (truncation L={L}) does not cover"
+            )
+        return _CODES * index[target]
+
+    size = _CODES * len(policy)
+    successors = [0] * size
+    deltas = np.zeros((size, len(_NO_DELTA)))
+    visits = np.zeros(size, np.int64)
+    for i, state in enumerate(policy):
+        chain = [state]
+        while policy[chain[-1]] == MdpAction.REVERT:
+            target, _ = _step(chain[-1], MdpAction.REVERT, _SELFISH, r)
+            entry(chain[-1], MdpAction.REVERT, target)
+            if target in chain:
+                raise ValueError(f"revert cycle through state {_show(target)}")
+            chain.append(target)
+        drawing, action = chain[-1], policy[chain[-1]]
+        outcomes = [_step(drawing, action, code, r) for code in range(_CODES)]
+        for e, (target, delta) in enumerate(outcomes, _CODES * i):
+            successors[e] = entry(drawing, action, target)
+            if delta is not _NO_DELTA:
+                deltas[e] = delta
+        if drawing.l_a == L or drawing.l_h == L:
+            # Reverts keep both chain lengths, so every state of the chain
+            # is on the boundary too.
+            visits[_CODES * i : _CODES * (i + 1)] = len(chain)
+    start = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
+    if start not in index:
+        raise ValueError(f"start state {_show(start)} missing from the policy")
+    return successors, deltas, visits, _CODES * index[start]
 
 
 def _run_policy(config: SimConfig) -> SimReport:
     """Chain-state rollout of a solved policy.
 
-    Maintains the game state directly and applies each action's chain
-    semantics, so it exercises the reward accounting independently of the
-    solver's transition table.
+    Applies each action's chain semantics (_step) to every state of the
+    policy once, then scans the seeded draw stream through the resulting
+    table.  The ledger is written here, independently of the solver's
+    transition table, so the rollout checks the solver's reward accounting.
+    Totals are entry visit counts times entry ledger deltas.
     """
     assert isinstance(config.strategy, MdpPolicy)
     result = config.strategy.result
     p = config.params
-    alpha, gamma, r = p.alpha, p.gamma, p.split_ratio
-    L = result.truncation
-    policy = result.policy
-    m = config.horizon_keyblocks
-    rng = np.random.default_rng(config.seed)
-
-    ledger = _Ledger()
+    if p != result.params:
+        raise ValueError(
+            f"policy was solved for {result.params}, not for the simulated {p}"
+        )
+    successors, deltas, visits, s = _compile(result, p.split_ratio)
     weights = config.effective_weights()
     kw, fw = weights.key_weight, weights.fee_weight
+    sel_value = kw * deltas[:, _R_A] + fw * deltas[:, _T_A]
+    all_value = sel_value + kw * deltas[:, _R_H] + fw * deltas[:, _T_H]
 
-    l_a, l_h = 0, 0
-    fork = Fork.NO_TIE
-    last = LastMicro.H_IN
-    keyblocks = 0
-    boundary_visits = 0
-    prev_selfish = False
-    z = k = 0
-
-    batch_size = max(1, m // 512)
-    next_batch = batch_size
-    prev_sel_total = prev_all_total = 0.0
+    m = config.horizon_keyblocks
+    rng = np.random.default_rng(config.seed)
+    alpha = p.alpha
+    match_win = alpha + p.gamma * (1.0 - alpha)
+    counts = np.zeros(len(successors), np.int64)
+    batch_counts = np.zeros_like(counts)
+    batch_size = max(1, m // _BATCHES)
+    batch_end = min(batch_size, m)
     batch_points: list[tuple[float, float]] = []
-
-    # Uniform draws consumed one per key block (plus one per race).
-    buf = rng.random(1 << 16)
-    buf_i = 0
-
-    def draw() -> float:
-        nonlocal buf, buf_i
-        if buf_i >= buf.size:
-            buf = rng.random(1 << 16)
-            buf_i = 0
-        buf_i += 1
-        return buf[buf_i - 1]
-
-    def mine() -> bool:
-        nonlocal keyblocks, z, k, prev_selfish
-        selfish = draw() < alpha
-        if prev_selfish and not selfish:
-            z += 1
-        elif not prev_selfish and selfish:
-            k += 1
-        prev_selfish = selfish
-        keyblocks += 1
-        return selfish
-
-    while keyblocks < m:
-        if l_a == L or l_h == L:
-            boundary_visits += 1
-        action = policy[MdpState(l_a, l_h, fork, last)]
-
-        if action in (MdpAction.ADOPT, MdpAction.ADOPT_E):
-            ledger.r_h += l_h
-            ledger.t_h += l_h - 1  # interior intervals of the adopted stretch
-            ledger.leading_unit(last, next_selfish=False, r=r)
-            last = LastMicro.H_IN if action == MdpAction.ADOPT else LastMicro.H_EX
-            fork = Fork.NO_TIE
-            if mine():
-                l_a, l_h = 1, 0
-            else:
-                l_a, l_h = 0, 1
-        elif action in (MdpAction.OVERRIDE, MdpAction.OVERRIDE_H):
-            ledger.r_a += l_h + 1
-            ledger.t_a += l_h  # interior intervals of the published stretch
-            ledger.leading_unit(last, next_selfish=True, r=r)
-            last = LastMicro.S_P if action == MdpAction.OVERRIDE else LastMicro.S_H
-            fork = Fork.NO_TIE
-            remaining = l_a - l_h - 1
-            if mine():
-                l_a, l_h = remaining + 1, 0
-            else:
-                l_a, l_h = remaining, 1
-        elif action == MdpAction.WAIT and fork == Fork.NO_TIE:
-            if mine():
-                l_a += 1
-            else:
-                l_h += 1
-        elif action in (MdpAction.MATCH, MdpAction.MATCH_H) or (
-            action == MdpAction.WAIT and fork != Fork.NO_TIE
-        ):
-            if action == MdpAction.MATCH:
-                tie_kind, landing = Fork.TIE, LastMicro.S_P
-            elif action == MdpAction.MATCH_H:
-                tie_kind, landing = Fork.TIE_PRIME, LastMicro.S_H
-            else:
-                tie_kind = fork
-                landing = LastMicro.S_P if fork == Fork.TIE else LastMicro.S_H
-            u = draw()
-            selfish = u < alpha
-            if prev_selfish != selfish:
-                if prev_selfish:
-                    z += 1
-                else:
-                    k += 1
-            prev_selfish = selfish
-            keyblocks += 1
-            if selfish:
-                # Selfish block extends the private branch; the tie persists.
-                l_a += 1
-                fork = tie_kind
-            elif u < alpha + gamma * (1.0 - alpha):
-                # Honest block lands on the published selfish branch: the
-                # matched l_h selfish blocks finalize.
-                ledger.r_a += l_h
-                ledger.t_a += l_h - 1
-                ledger.leading_unit(last, next_selfish=True, r=r)
-                l_a, l_h = l_a - l_h, 1
-                fork = Fork.NO_TIE
-                last = landing
-            else:
-                # Honest block extends the honest branch; the tie is broken.
-                l_h += 1
-                fork = Fork.NO_TIE
-        elif action == MdpAction.REVERT:
-            if fork == Fork.TIE_PRIME:
-                fork = Fork.TIE
-            elif last == LastMicro.S_H and l_h == 0:
-                last = LastMicro.S_P
-            elif last == LastMicro.H_EX and l_a == 0:
-                last = LastMicro.H_IN
-            else:
-                raise RuntimeError(f"revert not applicable in state {(l_a, l_h, fork, last)}")
-        else:
-            raise RuntimeError(f"unexpected action {action} in state {(l_a, l_h, fork, last)}")
-
-        if keyblocks >= next_batch or keyblocks >= m:
-            sel_total = kw * ledger.r_a + fw * ledger.t_a
-            all_total = sel_total + kw * ledger.r_h + fw * ledger.t_h
+    z = k = 0
+    prev_selfish = False
+    done = 0
+    while done < m:
+        # One uniform draw per key block; each slice ends at or before the
+        # next batch boundary.
+        draws = rng.random(min(_SLICE, batch_end - done))
+        selfish = draws < alpha
+        codes = (~selfish).view(np.uint8) + (draws >= match_win).view(np.uint8)
+        # Adjacent pairs: selfish then honest (z), honest then selfish (k).
+        before = np.concatenate(([prev_selfish], selfish[:-1]))
+        z += int(np.count_nonzero(before & ~selfish))
+        k += int(np.count_nonzero(selfish & ~before))
+        prev_selfish = selfish[-1]
+        path = []
+        visit = path.append
+        for code in codes.tolist():
+            i = s + code
+            visit(i)
+            s = successors[i]
+        batch_counts += np.bincount(path, minlength=counts.size)
+        done += draws.size
+        if done == batch_end:
+            # Elementwise sums: a BLAS dot product of this length would
+            # wake BLAS worker threads.
             batch_points.append(
-                (sel_total - prev_sel_total, all_total - prev_all_total)
+                (float(np.sum(batch_counts * sel_value)),
+                 float(np.sum(batch_counts * all_value)))
             )
-            prev_sel_total, prev_all_total = sel_total, all_total
-            next_batch += batch_size
+            counts += batch_counts
+            batch_counts[:] = 0
+            batch_end = min(batch_end + batch_size, m)
 
-    sel_total = kw * ledger.r_a + fw * ledger.t_a
-    all_total = sel_total + kw * ledger.r_h + fw * ledger.t_h
+    r_a, r_h, t_a, t_h, orphaned = np.sum(counts[:, None] * deltas, axis=0).tolist()
+    sel_total = kw * r_a + fw * t_a
+    all_total = sel_total + kw * r_h + fw * t_h
     revenue = sel_total / all_total if all_total > 0 else 0.0
-    std_error = _batch_std_error(batch_points, revenue)
-
     return SimReport(
         relative_revenue=revenue,
-        std_error=std_error,
-        selfish_key_rewards=int(ledger.r_a),
-        honest_key_rewards=int(ledger.r_h),
-        selfish_fees=ledger.t_a,
-        honest_fees=ledger.t_h,
-        orphaned_fee_units=ledger.orphaned,
+        std_error=_batch_std_error(batch_points, revenue),
+        selfish_key_rewards=int(r_a),
+        honest_key_rewards=int(r_h),
+        selfish_fees=t_a,
+        honest_fees=t_h,
+        orphaned_fee_units=orphaned,
         pair_counts=PairCounts(z=z, k=k, m=m),
         seed=config.seed,
-        boundary_visits=boundary_visits,
+        boundary_visits=int(np.sum(counts * visits)),
     )
 
 

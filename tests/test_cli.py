@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,29 @@ def test_simulate_deterministic_output(capsys):
     assert out1 == out2  # byte-identical for the same seed
     (row,) = _json_payload(out1)
     assert row["relative_revenue"] == pytest.approx(0.3266, abs=0.01)
+
+
+def test_python_dash_m_runs_the_cli_from_source(tmp_path, capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [
+        "simulate", "--strategy", "mdpPolicy", "--alpha", "0.35",
+        "--m", "5000", "--L", "6", "--seed", "3",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ng_incentives", *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, out, _ = _run(capsys, *args)
+    assert _json_payload(proc.stdout) == _json_payload(out)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ng_incentives", "simulate", "--strategy", "honest", "--m", "1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
 
 def test_pairs_row(capsys):

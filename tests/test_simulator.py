@@ -1,9 +1,23 @@
 import dataclasses
+import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ng_incentives import closedform as cf
-from ng_incentives.mdp import build_transitions, solve
+from ng_incentives.mdp import (
+    Fork,
+    LastMicro,
+    MdpAction,
+    MdpState,
+    SolveResult,
+    build_transitions,
+    enumerate_states,
+    solve,
+)
 from ng_incentives.model import ProtocolParams, RewardWeights
 from ng_incentives.simulator import (
     Extension,
@@ -11,9 +25,12 @@ from ng_incentives.simulator import (
     Inclusion,
     MdpPolicy,
     SimConfig,
+    _step,
     run,
     sweep,
 )
+
+from oracles import policy_value, sm1_action, sm1_revenue
 
 
 def _config(strategy, alpha=0.3, r=0.4, m=200_000, seed=11, **kwargs):
@@ -133,3 +150,178 @@ def test_policy_rollout_uses_policy_weights_by_default(solved):
     assert config.effective_weights() == result.weights
     fee_only = dataclasses.replace(config, weights=RewardWeights.fee_dominated())
     assert fee_only.effective_weights() == RewardWeights.fee_dominated()
+
+
+def test_policy_rollout_rejects_other_params(solved):
+    params, result = solved
+    other = dataclasses.replace(params, split_ratio=0.5)
+    with pytest.raises(ValueError, match="solved for"):
+        run(SimConfig(other, MdpPolicy(result), 10_000, seed=1))
+
+
+def _honest_policy(truncation: int) -> dict:
+    """Publish any lead at once and adopt any public block."""
+    return {
+        s: MdpAction.OVERRIDE if s.l_a > s.l_h
+        else MdpAction.ADOPT if s.l_h else MdpAction.WAIT
+        for s in enumerate_states(truncation)
+    }
+
+
+def _hand_built(
+    policy: dict, params: ProtocolParams, truncation: int, weights=RewardWeights.key_dominated()
+) -> SolveResult:
+    return SolveResult(
+        revenue=params.alpha,
+        policy=policy,
+        outer_iterations=0,
+        truncation=truncation,
+        weights=weights,
+        params=params,
+    )
+
+
+def test_hand_built_honest_policy_earns_fair_share():
+    params = ProtocolParams(alpha=0.3)
+    result = _hand_built(_honest_policy(3), params, 3)
+    rep = run(SimConfig(params, MdpPolicy(result), 100_000, seed=4))
+    assert rep.relative_revenue == pytest.approx(0.3, abs=4 * rep.std_error)
+    assert rep.orphaned_fee_units == 0.0 and rep.boundary_visits == 0
+
+
+def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
+    return MdpState(l_a, l_h, fork, last)
+
+
+@pytest.mark.parametrize(
+    "state, action, message",
+    [
+        (_state(2, 1), MdpAction.REVERT, "revert has no target in state (2, 1, NO_TIE, H_IN)"),
+        (_state(1, 1), MdpAction.OVERRIDE, "negative chain length in state (1, 1, NO_TIE, H_IN)"),
+        (_state(2, 0), MdpAction.ADOPT, "negative chain length in state (2, 0, NO_TIE, H_IN)"),
+        (_state(0, 2), MdpAction.MATCH, "negative chain length in state (0, 2, NO_TIE, H_IN)"),
+        (
+            _state(3, 1),
+            MdpAction.WAIT,
+            "wait in state (3, 1, NO_TIE, H_IN) leads to (4, 1, NO_TIE, H_IN)",
+        ),
+        (_state(1, 0), None, "wait in state (0, 0, NO_TIE, H_IN) leads to (1, 0, NO_TIE, H_IN)"),
+    ],
+)
+def test_policy_rollout_rejects_inapplicable_action(state, action, message):
+    # Every state is checked, reachable or not; None drops the state.
+    policy = _honest_policy(3)
+    if action is None:
+        del policy[state]
+    else:
+        policy[state] = action
+    params = ProtocolParams(alpha=0.3)
+    config = SimConfig(params, MdpPolicy(_hand_built(policy, params, 3)), 1_000, seed=4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(config)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3])
+def test_sm1_rollout_matches_eyal_sirer_closed_form(alpha):
+    # The rollout and the closed form share no code; see test_mdp for the
+    # exact value of the same policy on the solver's table.
+    params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=0.4)
+    table = build_transitions(params, truncation=20)
+    policy = {s: sm1_action(table, s) for s in table.states}
+    result = _hand_built(policy, params, 20)
+    rep = run(SimConfig(params, MdpPolicy(result), 400_000, seed=1))
+    assert abs(rep.relative_revenue - sm1_revenue(alpha, 0.5)) < 4 * rep.std_error
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.05, 0.45),
+    gamma=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+    truncation=st.integers(2, 5),
+    regime=st.sampled_from(("fee", "equal", "key")),
+    policy_seed=st.none() | st.integers(0, 2**32 - 1),
+    m=st.integers(2, 5_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_policy_rollout_conserves_fee_units(
+    alpha, gamma, r, truncation, regime, policy_seed, m, seed
+):
+    # Each finalized stretch of n key blocks finalizes n fee units, kept or
+    # orphaned.  Policies are solved, or pick a random available action.
+    params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=r)
+    table = build_transitions(params, truncation)
+    weights = RewardWeights.from_regime(regime)
+    if policy_seed is None:
+        result = solve(table, weights)
+    else:
+        pick = random.Random(policy_seed).choice
+        policy = {s: pick(table.actions(s)) for s in table.states}
+        result = _hand_built(policy, params, truncation, weights)
+    rep = run(SimConfig(params, MdpPolicy(result), m, seed))
+    keys = rep.selfish_key_rewards + rep.honest_key_rewards
+    fees = rep.selfish_fees + rep.honest_fees + rep.orphaned_fee_units
+    assert fees == pytest.approx(keys, rel=1e-12, abs=0.0)
+    assert keys <= m
+    assert abs(rep.pair_counts.z - rep.pair_counts.k) <= 1
+
+
+def _step_by_step(config: SimConfig) -> tuple:
+    """Reference rollout: one _step per action, reverts included, one draw
+    per key block.  Returns (ledger totals, boundary visits, z, k)."""
+    result, p, m = config.strategy.result, config.params, config.horizon_keyblocks
+    draws = np.random.default_rng(config.seed).random(m)
+    state = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
+    ledger, visits, z, k, prev = np.zeros(5), 0, 0, 0, False
+    for u in draws.tolist():
+        while True:
+            visits += max(state.l_a, state.l_h) == result.truncation
+            if result.policy[state] != MdpAction.REVERT:
+                break
+            state, _ = _step(state, MdpAction.REVERT, 0, p.split_ratio)
+        selfish = u < p.alpha
+        code = 0 if selfish else 1 if u < p.alpha + p.gamma * (1 - p.alpha) else 2
+        z, k, prev = z + (prev and not selfish), k + (selfish and not prev), selfish
+        state, delta = _step(state, result.policy[state], code, p.split_ratio)
+        ledger += delta
+    return ledger, visits, z, k
+
+
+@pytest.mark.parametrize("truncation, policy_seed", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2)])
+def test_random_policy_rollout_matches_exact_value_and_reference(truncation, policy_seed):
+    # Random policies use every action, reverts and the boundary included.
+    params = ProtocolParams(alpha=0.35, gamma=0.3, split_ratio=0.6)
+    table = build_transitions(params, truncation)
+    pick = random.Random(policy_seed).choice
+    actions = [pick(table.actions(s)) for s in table.states]
+    weights = RewardWeights.fee_dominated()
+    result = _hand_built(dict(zip(table.states, actions)), params, truncation, weights)
+    config = SimConfig(params, MdpPolicy(result), 100_000, seed=5)
+    rep = run(config)
+    # The solver's transition table gives the policy's exact value.
+    exact = policy_value(table, weights, actions)
+    assert abs(rep.relative_revenue - exact) < 4 * rep.std_error
+    # Stepping the same draws one action at a time gives the same ledger.
+    ledger, visits, z, k = _step_by_step(config)
+    assert (rep.selfish_key_rewards, rep.honest_key_rewards) == tuple(ledger[:2])
+    assert (rep.pair_counts.z, rep.pair_counts.k, rep.boundary_visits) == (z, k, visits)
+    fees = (rep.selfish_fees, rep.honest_fees, rep.orphaned_fee_units)
+    assert fees == pytest.approx(tuple(ledger[2:]), rel=1e-12, abs=0.0)
+
+
+def test_chain_rules_agree_with_solver_table():
+    # The simulator's chain rules and the solver's transition table are
+    # written independently; every available (state, action) pair must give
+    # the same successors and rewards.  Outcomes are listed selfish block
+    # first; a race lists the match success before the broken tie.
+    params = ProtocolParams(alpha=0.3, gamma=0.4, split_ratio=0.7)
+    table = build_transitions(params, truncation=6)
+    codes_by_count = {1: [[0, 1, 2]], 2: [[0], [1, 2]], 3: [[0], [1], [2]]}
+    for state, action, outcomes in table.items():
+        for outcome, codes in zip(outcomes, codes_by_count[len(outcomes)]):
+            for code in codes:
+                target, (r_a, r_h, t_a, t_h, orphaned) = _step(state, action, code, 0.7)
+                assert target == outcome.next_state, (state, action, code)
+                got = (r_h, t_h, r_a, t_a)
+                assert got == pytest.approx(tuple(outcome.reward), abs=1e-12), (state, action)
+                assert r_a + r_h == pytest.approx(t_a + t_h + orphaned, abs=1e-12)
