@@ -37,7 +37,6 @@ from .model import (
     load_config,
     params_from_config,
     parse_config_text,
-    validate,
 )
 from .simulator import (
     Extension,
@@ -47,7 +46,6 @@ from .simulator import (
     SimConfig,
     SimReport,
     run,
-    sweep,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +79,6 @@ __all__ = [
     "load_config",
     "params_from_config",
     "parse_config_text",
-    "validate",
     "Extension",
     "Honest",
     "Inclusion",
@@ -89,6 +86,5 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "run",
-    "sweep",
     "__version__",
 ]

@@ -10,51 +10,60 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, closedform, concentration, feescan
 from .mdp import SolverError, build_transitions, solve
 from .model import (
+    REGIMES,
     ParameterError,
     ProtocolParams,
     RewardWeights,
     load_config,
     params_from_config,
 )
-from .simulator import Extension, Honest, Inclusion, MdpPolicy, SimConfig, run
+from .simulator import (
+    INTERVAL_MODES,
+    Extension,
+    Honest,
+    Inclusion,
+    MdpPolicy,
+    SimConfig,
+    run,
+)
 
-REGIMES = ("fee", "equal", "key")
+# Most points a grid flag may expand to.
+_MAX_GRID_POINTS = 1_000_000
 
 
 class UsageError(ValueError):
     """Invalid flag combination or value."""
 
 
-@dataclass
-class OutputEnvelope:
-    format: str  # "json" or "csv"
-    metadata: dict
-    payload: list[dict]
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2."""
 
-    def render(self) -> str:
-        if self.format == "json":
-            return json.dumps(
-                {"metadata": self.metadata, "payload": self.payload}, indent=2
-            )
-        buf = io.StringIO()
-        for key in sorted(self.metadata):
-            buf.write(f"# {key} = {_csv_scalar(self.metadata[key])}\n")
-        if self.payload:
-            fieldnames = list(self.payload[0].keys())
-            writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            for row in self.payload:
-                writer.writerow({k: _csv_scalar(v) for k, v in row.items()})
-        return buf.getvalue()
+    def error(self, message: str):
+        raise UsageError(f"{message} (see {self.prog} --help)")
+
+
+def _render(fmt: str, metadata: dict, rows: list[dict]) -> str:
+    """The JSON document or the CSV table (metadata as '#' lines)."""
+    if fmt == "json":
+        return json.dumps({"metadata": metadata, "payload": rows}, indent=2)
+    buf = io.StringIO()
+    for key in sorted(metadata):
+        buf.write(f"# {key} = {_csv_scalar(metadata[key])}\n")
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _csv_scalar(v) for k, v in row.items()})
+    return buf.getvalue()
 
 
 def _csv_scalar(value) -> str:
@@ -76,9 +85,14 @@ def parse_grid(spec: str) -> list[float]:
             a, b, step = (float(x) for x in parts)
         except ValueError:
             raise UsageError(f"non-numeric grid {spec!r}") from None
+        if not all(map(math.isfinite, (a, b, step))):
+            raise UsageError(f"grid bounds and step must be finite, got {spec!r}")
         if step <= 0 or b < a:
             raise UsageError("grid needs b >= a and step > 0")
-        n = int(round((b - a) / step))
+        span = (b - a) / step
+        if not span < _MAX_GRID_POINTS:
+            raise UsageError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
+        n = int(round(span))
         grid = [a + i * step for i in range(n + 1)]
         if grid[-1] > b + 1e-12:
             grid.pop()
@@ -104,7 +118,7 @@ def _worker_count() -> int:
 
 def _base_params(args) -> ProtocolParams:
     base = ProtocolParams()
-    if getattr(args, "config", None):
+    if args.config:
         base = params_from_config(load_config(args.config), base)
     overrides = {}
     for flag, field in (
@@ -121,7 +135,7 @@ def _base_params(args) -> ProtocolParams:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_bounds(args) -> OutputEnvelope:
+def cmd_bounds(args) -> tuple[dict, list[dict]]:
     if args.alpha_grid:
         grid = parse_grid(args.alpha_grid)
     else:
@@ -149,10 +163,10 @@ def cmd_bounds(args) -> OutputEnvelope:
             }
         )
     meta = {"command": "bounds", "transaction_class": args.transaction_class}
-    return OutputEnvelope(args.format, _metadata(meta), rows)
+    return meta, rows
 
 
-def cmd_revenue(args) -> OutputEnvelope:
+def cmd_revenue(args) -> tuple[dict, list[dict]]:
     params = _base_params(args)
     grid = parse_grid(args.rho_grid) if args.rho_grid else [args.rho]
     attacks = ("inclusion", "extension") if args.attack == "both" else (args.attack,)
@@ -174,7 +188,7 @@ def cmd_revenue(args) -> OutputEnvelope:
                 }
             )
     meta = {"command": "revenue", "alpha": params.alpha, "r": params.split_ratio}
-    return OutputEnvelope(args.format, _metadata(meta), rows)
+    return meta, rows
 
 
 def _mdp_task(task: tuple[float, float, float, str, int]) -> dict:
@@ -192,14 +206,9 @@ def _mdp_task(task: tuple[float, float, float, str, int]) -> dict:
     }
 
 
-def cmd_mdp(args) -> OutputEnvelope:
+def cmd_mdp(args) -> tuple[dict, list[dict]]:
     params = _base_params(args)
     regimes = args.regime if args.regime else list(REGIMES)
-    for regime in regimes:
-        if regime not in REGIMES:
-            raise UsageError(f"unknown regime {regime!r}")
-    if args.alpha_grid and args.r_grid:
-        raise UsageError("use either --alpha-grid or --r-grid, not both")
     if args.r_grid:
         points = [(params.alpha, r) for r in parse_grid(args.r_grid)]
     elif args.alpha_grid:
@@ -218,10 +227,10 @@ def cmd_mdp(args) -> OutputEnvelope:
     else:
         rows = [_mdp_task(t) for t in tasks]
     meta = {"command": "mdp", "gamma": params.gamma, "truncation": args.L}
-    return OutputEnvelope(args.format, _metadata(meta), rows)
+    return meta, rows
 
 
-def cmd_simulate(args) -> OutputEnvelope:
+def cmd_simulate(args) -> tuple[dict, list[dict]]:
     params = _base_params(args)
     weights = RewardWeights.from_regime(args.regime) if args.regime else None
     if args.strategy == "honest":
@@ -252,10 +261,10 @@ def cmd_simulate(args) -> OutputEnvelope:
         "seed": args.seed,
         "m": args.m,
     }
-    return OutputEnvelope(args.format, _metadata(meta), [report.to_dict()])
+    return meta, [report.to_dict()]
 
 
-def cmd_pairs(args) -> OutputEnvelope:
+def cmd_pairs(args) -> tuple[dict, list[dict]]:
     summary = concentration.empirical_pair_summary(
         args.alpha, args.m, args.delta, args.trials, args.seed
     )
@@ -274,14 +283,14 @@ def cmd_pairs(args) -> OutputEnvelope:
         "expected_pairs": summary.expected_pairs,
     }
     meta = {"command": "pairs", "seed": args.seed}
-    return OutputEnvelope(args.format, _metadata(meta), [row])
+    return meta, [row]
 
 
-def cmd_fees(args) -> OutputEnvelope:
-    records = feescan.load_fees(args.input)
+def cmd_fees(args) -> tuple[dict, list[dict]]:
+    fees = feescan.load_fees(args.input)
     edges = [float(x) for x in args.edges.split(",") if x.strip()]
-    dist = feescan.distribution(records, edges)
-    cls = feescan.classify(records, args.whale_threshold)
+    dist = feescan.distribution(fees, edges)
+    cls = feescan.classify(fees, args.whale_threshold)
     rows = []
     bucket_bounds = [(None, edges[0])] + list(zip(edges, edges[1:])) + [(edges[-1], None)]
     for (lo, hi), count in zip(bucket_bounds, dist.bucket_counts):
@@ -310,28 +319,25 @@ def cmd_fees(args) -> OutputEnvelope:
         "records": dist.count,
         "whale_threshold": args.whale_threshold,
     }
-    return OutputEnvelope(args.format, _metadata(meta), rows)
-
-
-def _metadata(extra: dict) -> dict:
-    return {"version": __version__, **extra}
+    return meta, rows
 
 
 # -------------------------------------------------------------------- parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ng-incentives",
         description="Fee-splitting incentive analysis: bounds, attack revenue, "
         "selfish-mining optimization, simulation, and fee datasets.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, config: bool = False) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=Path, default=None, help="write output to file")
-        p.add_argument("--config", type=Path, default=None, help="flat key=value file")
+        if config:
+            p.add_argument("--config", type=Path, default=None, help="flat key=value file")
 
     p = sub.add_parser("bounds", help="split-ratio bounds over an alpha grid")
     p.add_argument("--alpha", type=float, default=None)
@@ -348,29 +354,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("revenue", help="closed-form attack revenue over a rho grid")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--rho-grid", default=None, metavar="A:B:STEP")
     p.add_argument(
         "--attack", choices=("inclusion", "extension", "both"), default="both"
     )
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_revenue)
 
     p = sub.add_parser("mdp", help="optimal selfish-mining revenue over a grid")
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--r-grid", default=None, metavar="A:B:STEP")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
+    grid.add_argument("--r-grid", default=None, metavar="A:B:STEP")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument(
         "--regime",
         action="append",
+        choices=REGIMES,
         default=None,
-        help="fee, equal, or key; repeatable; default all three",
+        help="repeatable; default all three",
     )
     p.add_argument("--L", type=int, default=20, help="chain-length truncation")
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_mdp)
 
     p = sub.add_parser("simulate", help="Monte Carlo mining simulation")
@@ -387,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--interval-mode",
-        choices=("exponential", "deterministic"),
+        choices=INTERVAL_MODES,
         default="exponential",
         help="interval lengths for honest/inclusion/extension; the mdpPolicy "
         "rollout counts one fee unit per interval and ignores this",
     )
     p.add_argument("--regime", choices=REGIMES, default=None)
     p.add_argument("--L", type=int, default=20)
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pairs", help="pair-count concentration: empirical vs bound")
@@ -421,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        text = args.func(args).render()
+        args = build_parser().parse_args(argv)
+        metadata, rows = args.func(args)
+        text = _render(args.format, {"version": __version__, **metadata}, rows)
         if args.out:
             args.out.write_text(text + ("\n" if not text.endswith("\n") else ""))
         else:

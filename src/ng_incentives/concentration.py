@@ -64,7 +64,6 @@ class PairDeviationSummary:
     deviation_fraction: float
     mean_z: float
     expected_pairs: float  # alpha * beta * (m - 1)
-    trials: int
 
 
 def empirical_pair_summary(
@@ -105,5 +104,4 @@ def empirical_pair_summary(
         deviation_fraction=hits / trials,
         mean_z=z_sum / trials,
         expected_pairs=center,
-        trials=trials,
     )

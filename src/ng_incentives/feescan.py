@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -18,19 +18,14 @@ class FeeDataError(ValueError):
         super().__init__(f"invalid fee data ({lines})")
 
 
-@dataclass(frozen=True)
-class FeeRecord:
-    fee: float
-    block_height: int | None = None
+def parse_fees(text: str) -> np.ndarray:
+    """Parse fees, one per line: either ``fee`` or ``block_height,fee``.
 
-
-def parse_fees(text: str) -> list[FeeRecord]:
-    """Parse fee records, one per line: either ``fee`` or ``block_height,fee``.
-
-    Blank lines and '#' comments are skipped.  All malformed lines are
-    collected and reported together in a single FeeDataError.
+    Blank lines and '#' comments are skipped; a block height must be an
+    integer and is then dropped.  All malformed lines are collected and
+    reported together in a single FeeDataError.
     """
-    records: list[FeeRecord] = []
+    fees: list[float] = []
     errors: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -39,9 +34,10 @@ def parse_fees(text: str) -> list[FeeRecord]:
         parts = [p.strip() for p in line.split(",")]
         try:
             if len(parts) == 1:
-                fee, height = float(parts[0]), None
+                fee = float(parts[0])
             elif len(parts) == 2:
-                height, fee = int(parts[0]), float(parts[1])
+                int(parts[0])  # the block height: checked, not kept
+                fee = float(parts[1])
             else:
                 raise ValueError("expected 'fee' or 'block_height,fee'")
             if fee < 0.0 or not np.isfinite(fee):
@@ -49,13 +45,13 @@ def parse_fees(text: str) -> list[FeeRecord]:
         except ValueError as exc:
             errors.append((lineno, str(exc)))
             continue
-        records.append(FeeRecord(fee=fee, block_height=height))
+        fees.append(fee)
     if errors:
         raise FeeDataError(errors)
-    return records
+    return np.array(fees, dtype=float)
 
 
-def load_fees(path: str | Path) -> list[FeeRecord]:
+def load_fees(path: str | Path) -> np.ndarray:
     return parse_fees(Path(path).read_text())
 
 
@@ -65,7 +61,6 @@ class FeeDistribution:
     overflow buckets, and an exact empirical CDF."""
 
     count: int
-    bucket_edges: tuple[float, ...]
     bucket_counts: tuple[int, ...]  # len(edges) + 1: underflow, bins, overflow
     _sorted_fees: tuple[float, ...]
 
@@ -75,24 +70,21 @@ class FeeDistribution:
         return float(below) / self.count
 
 
-def distribution(
-    records: Sequence[FeeRecord], bucket_edges: Iterable[float]
-) -> FeeDistribution:
-    edges = tuple(float(e) for e in bucket_edges)
+def distribution(fees: np.ndarray, edges: Iterable[float]) -> FeeDistribution:
+    edges = tuple(float(e) for e in edges)
     if len(edges) < 2:
         raise ValueError("need at least two bucket edges")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bucket edges must be strictly ascending")
-    if not records:
+    fees = np.asarray(fees, dtype=float)
+    if fees.size == 0:
         raise ValueError("no fee records")
-    fees = np.array([rec.fee for rec in records])
     # searchsorted(side='right') puts fee == edge into the bucket starting at
     # that edge; index 0 is the underflow bucket, len(edges) the overflow.
     idx = np.searchsorted(edges, fees, side="right")
     counts = np.bincount(idx, minlength=len(edges) + 1)
     return FeeDistribution(
-        count=len(records),
-        bucket_edges=edges,
+        count=fees.size,
         bucket_counts=tuple(int(c) for c in counts),
         _sorted_fees=tuple(np.sort(fees)),
     )
@@ -103,23 +95,19 @@ class Classification:
     regular_fraction: float
     mean_regular_fee: float
     mean_fee: float
-    whale_count: int
-    regular_count: int
 
 
-def classify(records: Sequence[FeeRecord], whale_threshold: float) -> Classification:
+def classify(fees: np.ndarray, whale_threshold: float) -> Classification:
     """Split fees into regular (fee < threshold) and whale transactions."""
     if whale_threshold <= 0.0:
         raise ValueError("whale_threshold must be positive")
-    if not records:
+    fees = np.asarray(fees, dtype=float)
+    if fees.size == 0:
         raise ValueError("no fee records")
-    fees = np.array([rec.fee for rec in records])
     regular = fees < whale_threshold
     n_regular = int(np.count_nonzero(regular))
     return Classification(
-        regular_fraction=n_regular / len(records),
+        regular_fraction=n_regular / fees.size,
         mean_regular_fee=float(fees[regular].mean()) if n_regular else 0.0,
         mean_fee=float(fees.mean()),
-        whale_count=len(records) - n_regular,
-        regular_count=n_regular,
     )

@@ -367,13 +367,6 @@ class SolveResult:
     weights: RewardWeights
     params: ProtocolParams  # the parameter point the policy was solved for
 
-    def action(self, state: MdpState) -> MdpAction:
-        """Solved policy's action at a state; errors outside the truncation."""
-        try:
-            return self.policy[state]
-        except KeyError:
-            raise ValueError(f"state {state} outside the solved state space") from None
-
 
 class SolverError(RuntimeError):
     """Inner value iteration failed to converge; carries iteration state."""

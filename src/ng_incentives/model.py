@@ -34,22 +34,15 @@ class ProtocolParams:
     split_ratio: float = 0.4
 
     def __post_init__(self) -> None:
-        validate(self)
+        for f in fields(self):
+            _require(math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
+        _require(0.0 <= self.alpha <= 1.0, "alpha out of [0,1]")
+        _require(0.0 <= self.gamma <= 1.0, "gamma out of [0,1]")
+        _require(0.0 <= self.split_ratio <= 1.0, "split_ratio out of [0,1]")
 
-    @property
-    def beta(self) -> float:
-        """Honest fraction of mining power; alpha + beta = 1 exactly."""
-        return 1.0 - self.alpha
 
-
-def validate(params: ProtocolParams) -> ProtocolParams:
-    """Check every parameter invariant; return params unchanged if valid."""
-    for f in fields(params):
-        _require(math.isfinite(getattr(params, f.name)), f"{f.name} must be finite")
-    _require(0.0 <= params.alpha <= 1.0, "alpha out of [0,1]")
-    _require(0.0 <= params.gamma <= 1.0, "gamma out of [0,1]")
-    _require(0.0 <= params.split_ratio <= 1.0, "split_ratio out of [0,1]")
-    return params
+# Reward regimes by name; RewardWeights.from_regime maps each to its weights.
+REGIMES = ("fee", "equal", "key")
 
 
 @dataclass(frozen=True)

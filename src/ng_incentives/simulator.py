@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .concentration import PairCounts
+from .concentration import PairCounts, count_pairs
 from .mdp import Fork, LastMicro, MdpAction, MdpState, SolveResult
 from .model import ProtocolParams, RewardWeights
 
@@ -125,19 +125,6 @@ def run(config: SimConfig) -> SimReport:
     return _run_interval_strategy(config)
 
 
-def sweep(configs: list[SimConfig]) -> list[SimReport]:
-    """Run each config independently, preserving input order."""
-    if not configs:
-        raise ValueError("sweep needs at least one config")
-    reports = []
-    for i, config in enumerate(configs):
-        try:
-            reports.append(run(config))
-        except Exception as exc:
-            raise RuntimeError(f"sweep entry {i} failed: {exc}") from exc
-    return reports
-
-
 def _run_interval_strategy(config: SimConfig) -> SimReport:
     p = config.params
     m = config.horizon_keyblocks
@@ -180,8 +167,6 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
         math.sqrt(float(np.sum(residual * residual))) / tot_sum if tot_sum > 0 else 0.0
     )
 
-    z = int(np.count_nonzero(leader & ~nxt))
-    k = int(np.count_nonzero(~leader & nxt))
     return SimReport(
         relative_revenue=revenue,
         std_error=std_error,
@@ -190,7 +175,7 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
         selfish_fees=float(selfish_fees.sum()),
         honest_fees=float(honest_fees.sum()),
         orphaned_fee_units=orphaned,
-        pair_counts=PairCounts(z=z, k=k, m=m),
+        pair_counts=count_pairs(selfish),
         seed=config.seed,
     )
 

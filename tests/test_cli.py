@@ -66,6 +66,52 @@ def test_bounds_rejects_bad_grid(capsys):
     assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ("0:inf:0.1", "finite"),
+        ("nan:1:0.1", "finite"),
+        ("0:1e300:1e-10", "points"),
+        ("0:1:1e-9", "points"),
+    ],
+)
+def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
+    code, out, err = _run(capsys, "bounds", "--alpha-grid", grid)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert reason in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--bogus"],
+        ["pairs", "--alpha", "0.3"],
+        ["mdp", "--alpha-grid", "0.2", "--r-grid", "0.4"],
+        ["revenue", "--alpha", "0.3", "--gamma", "0.5"],
+        ["pairs", "--config", "CONFIG", "--alpha", "0.3", "--m", "101", "--delta", "0.2"],
+        ["bounds", "--config", "CONFIG", "--alpha", "0.25"],
+        ["fees", "--config", "CONFIG", "--input", FIXTURE],
+        ["simulate", "--strategy", "honest", "--interval-mode", "uniform"],
+        [],
+    ],
+)
+def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("alpha = 0.3\n")
+    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mdp", "--help"])
+    assert exc.value.code == 0
+    assert "--r-grid" in capsys.readouterr().out
+
+
 def test_revenue_rows(capsys):
     code, out, _ = _run(
         capsys,
@@ -110,6 +156,7 @@ def test_mdp_single_point(capsys, monkeypatch):
 def test_mdp_rejects_unknown_regime(capsys):
     code, _, err = _run(capsys, "mdp", "--alpha", "0.1", "--regime", "bogus")
     assert code == 1 and "regime" in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_simulate_deterministic_output(capsys):

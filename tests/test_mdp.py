@@ -270,15 +270,6 @@ def test_truncation_sweep_is_stable():
     assert abs(small.revenue - large.revenue) < 1e-3
 
 
-def test_policy_lookup_and_bounds():
-    params = ProtocolParams(alpha=0.3, gamma=0.5, split_ratio=0.4)
-    result = solve(build_transitions(params, 8), RewardWeights.fee_dominated())
-    start = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
-    assert result.action(start) in ACTION_ORDER
-    with pytest.raises(ValueError):
-        result.action(MdpState(50, 0, Fork.NO_TIE, LastMicro.H_IN))
-
-
 def test_tables_at_one_truncation_do_not_share_filled_values():
     # Tables with the same truncation share one cached skeleton; filling in a
     # second parameter point must leave the first table untouched.

@@ -8,14 +8,12 @@ from ng_incentives.model import (
     RewardWeights,
     params_from_config,
     parse_config_text,
-    validate,
 )
 
 
 def test_defaults_are_valid():
     p = ProtocolParams()
-    assert validate(p) is p
-    assert math.isclose(p.alpha + p.beta, 1.0)
+    assert (p.alpha, p.gamma, p.split_ratio) == (0.3, 0.5, 0.4)
 
 
 @pytest.mark.parametrize(

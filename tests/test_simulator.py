@@ -27,7 +27,6 @@ from ng_incentives.simulator import (
     SimConfig,
     _step,
     run,
-    sweep,
 )
 
 from oracles import policy_value, sm1_action, sm1_revenue
@@ -103,14 +102,6 @@ def test_pair_counts_reported():
     expected = 0.3 * 0.7 * (50_000 - 1)
     assert rep.pair_counts.z == pytest.approx(expected, rel=0.05)
     assert abs(rep.pair_counts.z - rep.pair_counts.k) <= 1
-
-
-def test_sweep_preserves_order():
-    configs = [_config(Honest(), seed=s, m=10_000) for s in (5, 6, 7)]
-    reports = sweep(configs)
-    assert [r.seed for r in reports] == [5, 6, 7]
-    with pytest.raises(ValueError):
-        sweep([])
 
 
 def test_revenue_is_scalarized_ratio():
