@@ -1,6 +1,6 @@
 """Shared protocol parameters and reward-weight types.
 
-All types here are immutable values; construction validates every
+All types here are immutable values; construction checks every
 invariant so downstream code never sees an out-of-range parameter.
 """
 from __future__ import annotations
