@@ -11,9 +11,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, closedform, concentration, feescan
@@ -103,19 +101,6 @@ def parse_grid(spec: str) -> list[float]:
         raise UsageError(f"non-numeric grid {spec!r}") from None
 
 
-def _worker_count() -> int:
-    env = os.environ.get("NG_INCENTIVES_THREADS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"NG_INCENTIVES_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise UsageError("NG_INCENTIVES_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def _base_params(args) -> ProtocolParams:
     base = ProtocolParams()
     if args.config:
@@ -191,21 +176,6 @@ def cmd_revenue(args) -> tuple[dict, list[dict]]:
     return meta, rows
 
 
-def _mdp_task(task: tuple[float, float, float, str, int]) -> dict:
-    alpha, r, gamma, regime, L = task
-    params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=r)
-    table = build_transitions(params, L)
-    result = solve(table, RewardWeights.from_regime(regime))
-    return {
-        "alpha": alpha,
-        "regime": regime,
-        "r": r,
-        "gamma": gamma,
-        "revenue": result.revenue,
-        "outer_iterations": result.outer_iterations,
-    }
-
-
 def cmd_mdp(args) -> tuple[dict, list[dict]]:
     params = _base_params(args)
     regimes = args.regime if args.regime else list(REGIMES)
@@ -215,17 +185,22 @@ def cmd_mdp(args) -> tuple[dict, list[dict]]:
         points = [(a, params.split_ratio) for a in parse_grid(args.alpha_grid)]
     else:
         points = [(params.alpha, params.split_ratio)]
-    tasks = [
-        (alpha, r, params.gamma, regime, args.L)
-        for alpha, r in points
-        for regime in regimes
-    ]
-    workers = min(_worker_count(), len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_mdp_task, tasks))
-    else:
-        rows = [_mdp_task(t) for t in tasks]
+    rows = []
+    for alpha, r in points:
+        point = ProtocolParams(alpha=alpha, gamma=params.gamma, split_ratio=r)
+        table = build_transitions(point, args.L)
+        for regime in regimes:
+            result = solve(table, RewardWeights.from_regime(regime))
+            rows.append(
+                {
+                    "alpha": alpha,
+                    "regime": regime,
+                    "r": r,
+                    "gamma": params.gamma,
+                    "revenue": result.revenue,
+                    "outer_iterations": result.outer_iterations,
+                }
+            )
     meta = {"command": "mdp", "gamma": params.gamma, "truncation": args.L}
     return meta, rows
 
@@ -442,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (UsageError, ParameterError, ValueError, OSError) as exc:
+    except (UsageError, ParameterError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -74,6 +74,8 @@ def distribution(fees: np.ndarray, edges: Iterable[float]) -> FeeDistribution:
     edges = tuple(float(e) for e in edges)
     if len(edges) < 2:
         raise ValueError("need at least two bucket edges")
+    if not np.isfinite(edges).all():
+        raise ValueError(f"bucket edges must be finite, got {edges}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bucket edges must be strictly ascending")
     fees = np.asarray(fees, dtype=float)
@@ -99,8 +101,8 @@ class Classification:
 
 def classify(fees: np.ndarray, whale_threshold: float) -> Classification:
     """Split fees into regular (fee < threshold) and whale transactions."""
-    if whale_threshold <= 0.0:
-        raise ValueError("whale_threshold must be positive")
+    if not 0.0 < whale_threshold < np.inf:
+        raise ValueError("whale_threshold must be positive and finite")
     fees = np.asarray(fees, dtype=float)
     if fees.size == 0:
         raise ValueError("no fee records")

@@ -32,16 +32,17 @@ gamma(1-alpha), (1-gamma)(1-alpha) or 1) and a reward id whose fields are
 c + a*r + b*(1-r); a TransitionTable fills both in for one parameter point
 with a few vector operations.
 
-The optimal relative revenue solves a ratio objective: bisection on the
-revenue w, where each trial w is checked by maximizing the long-run average
-of (selfish reward - w * total reward) with relative value iteration.
+The optimal relative revenue solves a ratio objective by Dinkelbach
+iteration: relative value iteration maximizes the long-run average of
+(selfish reward - w * total reward), and the greedy policy's exact ratio,
+from the stationary distribution of its chain, becomes the next w.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -369,78 +370,98 @@ class SolveResult:
 
 
 class SolverError(RuntimeError):
-    """Inner value iteration failed to converge; carries iteration state."""
+    """Value iteration or policy evaluation failed to converge; carries the
+    iteration count and the last value span or distribution change."""
 
     def __init__(self, message: str, iterations: int, span: float):
-        # Every constructor argument stays in args, so the error pickles.
-        super().__init__(message, iterations, span)
+        super().__init__(f"{message} (iterations={iterations}, span={span:.3e})")
         self.iterations = iterations
         self.span = span
 
-    def __str__(self) -> str:
-        message, iterations, span = self.args
-        return f"{message} (iterations={iterations}, span={span:.3e})"
 
-
-# Solver constants: the inner (value iteration span) and outer (revenue
-# bracket width) tolerances, the inner iteration cap, and the self-loop
-# damping of the value iteration.
+# Solver constants: the value iteration span tolerance, its iteration cap
+# and self-loop damping; the policy evaluation's L1 change tolerance and its
+# iteration cap.
 _EPS_INNER = 1e-7
-_EPS_OUTER = 1e-5
 _MAX_INNER = 500_000
 _DAMPING = 0.995
+_EPS_EVAL = 1e-13
+_MAX_EVAL = 200_000
 
 
 def _gain(
-    table: TransitionTable, reward: np.ndarray, values: np.ndarray, eps: float
-) -> tuple[float, np.ndarray, int]:
+    table: TransitionTable, reward: np.ndarray, values: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Optimal average of the transformed reward by relative value iteration.
 
     The damping mixes in a self-loop, which removes periodicity without
-    changing the average reward.  Returns (gain, bias values, iterations).
+    changing the average reward.  Returns (gain, bias values).
     """
     v = values
-    for iteration in range(1, _MAX_INNER + 1):
+    for _ in range(_MAX_INNER):
         q = reward + table.transition @ v
         best = q.reshape(len(ACTION_ORDER), -1).max(axis=0)
         mixed = (1.0 - _DAMPING) * v + _DAMPING * best
         diff = mixed - v
         lo, hi = diff.min(), diff.max()
         v = mixed - mixed[0]
-        if (hi - lo) / _DAMPING < eps:
-            return (hi + lo) / (2.0 * _DAMPING), v, iteration
+        if (hi - lo) / _DAMPING < _EPS_INNER:
+            return (hi + lo) / (2.0 * _DAMPING), v
     raise SolverError("value iteration did not converge", _MAX_INNER, hi - lo)
+
+
+def _stationary(chain: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a policy's chain reached from x.
+
+    Power iteration on the lazy chain x <- x/2 + P^T x/2, which has the
+    stationary distributions of P and no periodicity, until the L1 change
+    of one step falls below _EPS_EVAL.
+    """
+    transposed = chain.T.tocsr()
+    for _ in range(_MAX_EVAL):
+        step = 0.5 * (transposed @ x - x)
+        x = x + step
+        change = np.abs(step).sum()
+        if change < _EPS_EVAL:
+            return x
+    raise SolverError("policy evaluation did not converge", _MAX_EVAL, change)
 
 
 def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     """Optimal relative revenue over the truncated state space.
 
-    Bisects the candidate revenue w on [0, 1]: the optimal transformed
-    average reward is positive below the true ratio and nonpositive above
-    it.  Early bisection steps run the inner iteration at a coarser
-    tolerance proportional to the bracket width.
+    Dinkelbach steps from w = 0: value iteration warm-started from the last
+    bias finds the optimal gain of selfish - w * total reward, and the
+    greedy policy's exact ratio from the start state (its stationary
+    distribution to an L1 change below _EPS_EVAL) becomes the next w.  The
+    steps stop once the gain is at most _EPS_INNER or the ratio stops
+    rising.  revenue is the exact ratio of the best policy evaluated, which
+    is the one returned; outer_iterations counts the steps.
     """
     r_self, r_total = table.expected_rewards(weights)
     # Unavailable pairs never win a max: their reward -inf - w * 0 stays -inf.
     r_self[~table.available] = -np.inf
-    lo, hi = 0.0, 1.0
-    v = np.zeros(len(table.states))
-    v_low = v
-    outer = 0
-    while hi - lo > _EPS_OUTER:
-        w = 0.5 * (lo + hi)
-        eps = max(_EPS_INNER, (hi - lo) * 1e-3)
-        g, v, _ = _gain(table, r_self - w * r_total, v, eps)
-        outer += 1
-        if g > 0:
-            lo, v_low = w, v
-        else:
-            hi = w
-    q = r_self - lo * r_total + table.transition @ v_low
-    actions = q.reshape(len(ACTION_ORDER), -1).argmax(axis=0)
+    n = len(table.states)
+    v = np.zeros(n)
+    x = np.zeros(n)
+    x[0] = 1.0
+    w, best, best_actions = 0.0, -np.inf, None
+    for outer in count(1):
+        reward = r_self - w * r_total
+        g, v = _gain(table, reward, v)
+        q = reward + table.transition @ v
+        actions = q.reshape(len(ACTION_ORDER), -1).argmax(axis=0)
+        rows = actions * n + np.arange(n)
+        x = _stationary(table.transition[rows], x)
+        ratio = float(x @ r_self[rows]) / float(x @ r_total[rows])
+        if ratio > best:
+            best, best_actions = ratio, actions
+        if g <= _EPS_INNER or ratio <= w:
+            break
+        w = ratio
     return SolveResult(
-        revenue=0.5 * (lo + hi),
-        policy={s: ACTION_ORDER[a] for s, a in zip(table.states, actions.tolist())},
+        revenue=best,
+        policy={s: ACTION_ORDER[a] for s, a in zip(table.states, best_actions)},
         outer_iterations=outer,
         truncation=table.truncation,
         weights=weights,

@@ -94,6 +94,15 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["fees", "--config", "CONFIG", "--input", FIXTURE],
         ["simulate", "--strategy", "honest", "--interval-mode", "uniform"],
         [],
+        ["fees", "--input", FIXTURE, "--whale-threshold", "nan"],
+        ["fees", "--input", FIXTURE, "--whale-threshold", "inf"],
+        ["fees", "--input", FIXTURE, "--edges", "0.1,nan"],
+        ["fees", "--input", FIXTURE, "--edges", "0.1,inf"],
+        # Petabyte arrays, beyond any 47-bit address space: they fail at
+        # once without touching memory.
+        ["simulate", "--strategy", "honest", "--m", "1000000000000000"],
+        ["pairs", "--alpha", "0.3", "--m", "1000000000000000", "--delta", "0.1",
+         "--trials", "1"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -142,8 +151,7 @@ def test_json_and_csv_payloads_value_identical(capsys):
                 assert str(val) == c[key]
 
 
-def test_mdp_single_point(capsys, monkeypatch):
-    monkeypatch.setenv("NG_INCENTIVES_THREADS", "1")
+def test_mdp_single_point(capsys):
     code, out, _ = _run(
         capsys, "mdp", "--alpha", "0.1", "--regime", "fee", "--L", "10"
     )

@@ -55,6 +55,9 @@ def test_distribution_validation():
         fs.distribution(fees, [0.5, 0.5])
     with pytest.raises(ValueError):
         fs.distribution([], [0.1, 0.5])
+    for edges in ([0.1, float("nan")], [0.1, float("inf")], [float("-inf"), 0.1]):
+        with pytest.raises(ValueError, match="finite"):
+            fs.distribution(fees, edges)
 
 
 def test_classify_splits_on_strict_threshold():
@@ -70,3 +73,6 @@ def test_classify_validation():
         fs.classify([], 0.1)
     with pytest.raises(ValueError):
         fs.classify([0.1], 0.0)
+    for threshold in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            fs.classify([0.1], threshold)

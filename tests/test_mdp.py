@@ -1,6 +1,4 @@
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -292,34 +290,20 @@ def test_tables_at_one_truncation_do_not_share_filled_values():
 
 
 def test_solver_error_carries_iteration_state(monkeypatch, capsys):
-    monkeypatch.setattr(mdp, "_MAX_INNER", 1)
+    # Value iteration, then policy evaluation, capped at one iteration.
     params = ProtocolParams(alpha=0.3, gamma=0.5, split_ratio=0.4)
-    with pytest.raises(SolverError) as info:
-        solve(build_transitions(params, 4), RewardWeights.equal())
-    assert info.value.iterations == 1
-    assert info.value.span > 0.0
-    assert "iterations=1" in str(info.value)
-
-    monkeypatch.setenv("NG_INCENTIVES_THREADS", "1")
-    assert main(["mdp", "--alpha", "0.3", "--regime", "fee", "--L", "4"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: solver failed") and len(err.splitlines()) == 1
-
-
-def _raise_solver_error(span: float) -> None:
-    raise SolverError("value iteration did not converge", 1, span)
-
-
-def test_solver_error_crosses_process_pool():
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
-        futures = [pool.submit(_raise_solver_error, s) for s in (0.25, 0.5)]
-        for future, span in zip(futures, (0.25, 0.5)):
+    for cap in ("_MAX_INNER", "_MAX_EVAL"):
+        with monkeypatch.context() as patch:
+            patch.setattr(mdp, cap, 1)
             with pytest.raises(SolverError) as info:
-                future.result(timeout=60)
+                solve(build_transitions(params, 4), RewardWeights.equal())
             assert info.value.iterations == 1
-            assert info.value.span == span
+            assert info.value.span > 0.0
             assert "iterations=1" in str(info.value)
+
+            assert main(["mdp", "--alpha", "0.3", "--regime", "fee", "--L", "4"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: solver failed") and len(err.splitlines()) == 1
 
 
 # ------------------------------------------------- Eyal-Sirer SM1 oracle
@@ -338,3 +322,18 @@ def test_sm1_policy_value_matches_eyal_sirer_closed_form(alpha):
     sm1 = policy_value(table, weights, actions)
     assert sm1 == pytest.approx(closed, abs=1e-4)
     assert solve(table, weights).revenue >= sm1
+
+
+@pytest.mark.parametrize(
+    "alpha, r, regime",
+    [(0.2321, 0.1, "fee"), (0.2321, 0.5, "equal"), (0.4, 0.4, "key"), (0.45, 0.4, "fee")],
+)
+def test_revenue_is_the_exact_value_of_the_returned_policy(alpha, r, regime):
+    # policy_value solves the policy's stationary distribution directly,
+    # independently of the solver's power iteration.
+    params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=r)
+    table = build_transitions(params, truncation=20)
+    weights = RewardWeights.from_regime(regime)
+    result = solve(table, weights)
+    exact = policy_value(table, weights, [result.policy[s] for s in table.states])
+    assert abs(result.revenue - exact) < 1e-9
