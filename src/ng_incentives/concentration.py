@@ -55,8 +55,8 @@ def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     return 4.0 * math.exp(-delta * delta * ab * (m - 1) / 4.0)
 
 
-# Trials per vectorized batch; bounds the (batch, m) draw array.
-_BATCH = 512
+# Trials per vectorized batch; bounds the (batch, m) draw buffer.
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,9 @@ def empirical_pair_summary(
     Each sequence draws every bit Bernoulli(alpha) with the first bit forced
     to 0.  Trials run in batches of _BATCH rows drawn row-major from one
     generator, so the result depends on the seed and not on the batch size.
+    The draws, bits and (1,0) pair flags of a batch go into buffers
+    allocated once, so memory is bounded by _BATCH * m whatever the number
+    of trials.  Every parameter is checked before anything is drawn.
     """
     if trials < 1:
         raise SequenceError("trials must be at least 1")
@@ -86,17 +89,25 @@ def empirical_pair_summary(
         raise SequenceError("alpha out of [0,1]")
     if m < 2:
         raise SequenceError("m must be at least 2")
+    if not 0.0 < delta < 1.0:
+        raise SequenceError("delta must be in (0,1)")
     rng = np.random.default_rng(seed)
     center = alpha * (1.0 - alpha) * (m - 1)
     threshold = delta * center
+    rows = min(_BATCH, trials)
+    u = np.empty((rows, m))
+    x = np.empty((rows, m), dtype=bool)
+    pairs = np.empty((rows, m - 1), dtype=bool)
     hits = 0
     z_sum = 0
     remaining = trials
     while remaining > 0:
         n = min(_BATCH, remaining)
-        x = rng.random((n, m)) < alpha
-        x[:, 0] = False
-        z = np.count_nonzero(x[:, :-1] & ~x[:, 1:], axis=1)
+        rng.random(out=u[:n])
+        np.less(u[:n], alpha, out=x[:n])
+        x[:n, 0] = False
+        np.greater(x[:n, :-1], x[:n, 1:], out=pairs[:n])
+        z = np.count_nonzero(pairs[:n], axis=1)
         hits += int(np.count_nonzero(np.abs(z - center) > threshold))
         z_sum += int(z.sum())
         remaining -= n

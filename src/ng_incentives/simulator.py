@@ -5,9 +5,12 @@ Key blocks arrive as a Poisson process; each interval carries a continuous
 fee mass proportional to its length, in fee units (one unit = the fees of a
 mean-length interval), split between the issuing leader (fraction r) and
 the next key-block miner (1 - r).  Attacks orphan part of the fee mass of
-the intervals they touch.  The rollout of a solved selfish-mining policy
-instead counts one fee unit per key-block interval, as the decision
-process does, so it ignores the interval mode.
+the intervals they touch.  These interval strategies reduce every interval
+to its category (who mined the key blocks at its two ends) and its fee
+mass, so a run keeps per-category sums, one byte per key block and one
+slice of draws, whatever its length.  The rollout of a solved
+selfish-mining policy instead counts one fee unit per key-block interval,
+as the decision process does, so it ignores the interval mode.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .concentration import PairCounts, count_pairs
+from .concentration import PairCounts
 from .mdp import Fork, LastMicro, MdpAction, MdpState, SolveResult
 from .model import ProtocolParams, RewardWeights
 
@@ -125,57 +128,107 @@ def run(config: SimConfig) -> SimReport:
     return _run_interval_strategy(config)
 
 
+# Interval categories, 2 * leader + next with 1 for a selfish block.
+_HH, _HS, _SH, _SS = range(4)
+_INTERVAL_SLICE = 1 << 15  # draws per generator call in the interval simulator
+
+
 def _run_interval_strategy(config: SimConfig) -> SimReport:
+    """Interval simulation from per-category sums.
+
+    Interval i runs from key block i to key block i + 1 and falls in
+    category 2 * leader + next, leader and next being whether blocks i and
+    i + 1 are selfish.  Everything the report needs depends on an interval
+    only through its category c and its fee mass f:
+
+        c   leader next  selfish share  orphaned fraction
+        HH  honest honest      0            0
+        HS  honest selfish   1 - r          Extension.rho
+        SH  selfish honest     r            Inclusion.rho
+        SS  selfish selfish    1            0
+
+    The key reward of block i + 1 goes to interval i.  So the report is
+    linear in the per-category count n_c and fee sum sum(f); the adjacent
+    pairs are z = n_SH and k = n_HS.  The standard error comes from the
+    per-interval residuals a_c f + b_c of the ratio, with
+    a_c = fee_weight (1 - orphaned_c) (share_c - revenue) and
+    b_c = key_weight (next_c - revenue).  Their squares sum per category in
+    the centered form a_c^2 (sum(f^2) - mu_c sum(f)) + n_c (a_c mu_c + b_c)^2,
+    mu_c = sum(f) / n_c, which has no cancellation where the residuals
+    vanish.  Deterministic intervals have f = 1.
+
+    The seeded stream draws all m ownership uniforms, then the m - 1 fee
+    masses, each in slices of _INTERVAL_SLICE.  Every uniform precedes the
+    first fee mass, so the ownership of all m key blocks stays in memory,
+    one byte each; everything else is bounded by the slice length.
+    """
     p = config.params
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
 
-    selfish = rng.random(m) < p.alpha
+    selfish = np.empty(m, dtype=bool)
+    draws = np.empty(min(_INTERVAL_SLICE, m))
+    for start in range(0, m, _INTERVAL_SLICE):
+        u = draws[: min(_INTERVAL_SLICE, m - start)]
+        rng.random(out=u)
+        np.less(u, p.alpha, out=selfish[start : start + u.size])
     selfish[0] = False  # starting ancestor block is honest by convention
-    # Continuous fee mass per interval, in fee units: the interval length in
-    # units of the mean interval.
-    if config.interval_mode == "exponential":
-        fee_mass = rng.exponential(1.0, m - 1)
-    else:
-        fee_mass = np.ones(m - 1)
+    owner = selfish.view(np.uint8)
+
+    exponential = config.interval_mode == "exponential"
+    count = np.zeros(4, np.int64)
+    fee_sum = np.zeros(4)
+    fee_square_sum = np.zeros(4)
+    for start in range(0, m - 1, _INTERVAL_SLICE):
+        stop = min(start + _INTERVAL_SLICE, m - 1)
+        category = 2 * owner[start:stop] + owner[start + 1 : stop + 1]
+        count += np.bincount(category, minlength=4)
+        if exponential:
+            # Fee mass in fee units: the interval length in units of the
+            # mean interval.
+            f = draws[: stop - start]
+            rng.standard_exponential(out=f)
+            fee_sum += np.bincount(category, weights=f, minlength=4)
+            fee_square_sum += np.bincount(category, weights=np.square(f, out=f), minlength=4)
+    if not exponential:
+        fee_sum = fee_square_sum = count.astype(float)
 
     r = p.split_ratio
-    leader = selfish[:-1]
-    nxt = selfish[1:]
-
-    selfish_share = np.where(leader, r, 0.0) + np.where(nxt, 1.0 - r, 0.0)
-    orphan_fraction = np.zeros(m - 1)
+    share = np.array([0.0, 1.0 - r, r, 1.0])
+    next_selfish = np.array([0.0, 1.0, 0.0, 1.0])
+    orphan_fraction = np.zeros(4)
     if isinstance(config.strategy, Inclusion):
-        orphan_fraction[leader & ~nxt] = config.strategy.rho
+        orphan_fraction[_SH] = config.strategy.rho
     elif isinstance(config.strategy, Extension):
-        orphan_fraction[~leader & nxt] = config.strategy.rho
-
-    kept = fee_mass * (1.0 - orphan_fraction)
-    selfish_fees = kept * selfish_share
-    honest_fees = kept - selfish_fees
-    orphaned = float(np.sum(fee_mass - kept))
+        orphan_fraction[_HS] = config.strategy.rho
+    kept = (1.0 - orphan_fraction) * fee_sum
+    selfish_fees = float(np.sum(share * kept))
+    honest_fees = float(np.sum((1.0 - share) * kept))
+    orphaned = float(np.sum(orphan_fraction * fee_sum))
+    selfish_blocks = int(count[_HS] + count[_SS])
 
     weights = config.effective_weights()
-    # Attribute the key reward of block i+1 to interval i so the ratio and
-    # its delta-method standard error come from one per-interval stream.
-    sel_stream = weights.fee_weight * selfish_fees + weights.key_weight * nxt
-    tot_stream = weights.fee_weight * (selfish_fees + honest_fees) + weights.key_weight
-    sel_sum, tot_sum = float(sel_stream.sum()), float(tot_stream.sum())
+    kw, fw = weights.key_weight, weights.fee_weight
+    sel_sum = fw * selfish_fees + kw * selfish_blocks
+    tot_sum = fw * (selfish_fees + honest_fees) + kw * (m - 1)
     revenue = sel_sum / tot_sum if tot_sum > 0 else 0.0
-    residual = sel_stream - revenue * tot_stream
-    std_error = (
-        math.sqrt(float(np.sum(residual * residual))) / tot_sum if tot_sum > 0 else 0.0
-    )
+    a = fw * (1.0 - orphan_fraction) * (share - revenue)
+    b = kw * (next_selfish - revenue)
+    mu = fee_sum / np.maximum(count, 1)  # empty categories have zero sums
+    # A sum of squared deviations: rounding must not take it below zero.
+    spread = np.maximum(fee_square_sum - mu * fee_sum, 0.0)
+    square_sum = float(np.sum(a * a * spread + count * (a * mu + b) ** 2))
+    std_error = math.sqrt(square_sum) / tot_sum if tot_sum > 0 else 0.0
 
     return SimReport(
         relative_revenue=revenue,
         std_error=std_error,
-        selfish_key_rewards=int(np.count_nonzero(selfish)),
-        honest_key_rewards=int(np.count_nonzero(~selfish)),
-        selfish_fees=float(selfish_fees.sum()),
-        honest_fees=float(honest_fees.sum()),
+        selfish_key_rewards=selfish_blocks,
+        honest_key_rewards=m - selfish_blocks,
+        selfish_fees=selfish_fees,
+        honest_fees=honest_fees,
         orphaned_fee_units=orphaned,
-        pair_counts=count_pairs(selfish),
+        pair_counts=PairCounts(z=int(count[_SH]), k=int(count[_HS]), m=m),
         seed=config.seed,
     )
 

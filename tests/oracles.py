@@ -1,13 +1,18 @@
 """Reference values for checking the solver and the simulator: the exact
-long-run revenue of a fixed policy, and Eyal-Sirer SM1 selfish mining
+long-run revenue of a fixed policy, Eyal-Sirer SM1 selfish mining
 ("Majority is not Enough", arXiv:1311.0243) as a fixed MDP policy with its
-closed-form relative revenue."""
+closed-form relative revenue, and the interval simulation computed one
+interval at a time."""
+import math
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
+from ng_incentives.concentration import count_pairs
 from ng_incentives.mdp import ACTION_ORDER, Fork, MdpAction, MdpState
+from ng_incentives.simulator import Extension, Inclusion, SimConfig, SimReport
 
 
 def policy_value(table, weights, actions: list[MdpAction]) -> float:
@@ -51,3 +56,57 @@ def sm1_revenue(alpha: float, gamma: float) -> float:
     return (
         alpha * (1 - alpha) ** 2 * (4 * alpha + gamma * (1 - 2 * alpha)) - alpha**3
     ) / (1 - alpha * (1 + (2 - alpha) * alpha))
+
+
+def interval_reference(config: SimConfig) -> SimReport:
+    """The interval simulation with full-length per-interval arrays, from
+    the same seeded stream: all m ownership uniforms, then m - 1 fee masses."""
+    p = config.params
+    m = config.horizon_keyblocks
+    rng = np.random.default_rng(config.seed)
+
+    selfish = rng.random(m) < p.alpha
+    selfish[0] = False
+    if config.interval_mode == "exponential":
+        fee_mass = rng.exponential(1.0, m - 1)
+    else:
+        fee_mass = np.ones(m - 1)
+
+    r = p.split_ratio
+    leader = selfish[:-1]
+    nxt = selfish[1:]
+
+    selfish_share = np.where(leader, r, 0.0) + np.where(nxt, 1.0 - r, 0.0)
+    orphan_fraction = np.zeros(m - 1)
+    if isinstance(config.strategy, Inclusion):
+        orphan_fraction[leader & ~nxt] = config.strategy.rho
+    elif isinstance(config.strategy, Extension):
+        orphan_fraction[~leader & nxt] = config.strategy.rho
+
+    kept = fee_mass * (1.0 - orphan_fraction)
+    selfish_fees = kept * selfish_share
+    honest_fees = kept - selfish_fees
+    orphaned = float(np.sum(fee_mass - kept))
+
+    weights = config.effective_weights()
+    # The key reward of block i+1 goes to interval i.
+    sel_stream = weights.fee_weight * selfish_fees + weights.key_weight * nxt
+    tot_stream = weights.fee_weight * (selfish_fees + honest_fees) + weights.key_weight
+    sel_sum, tot_sum = float(sel_stream.sum()), float(tot_stream.sum())
+    revenue = sel_sum / tot_sum if tot_sum > 0 else 0.0
+    residual = sel_stream - revenue * tot_stream
+    std_error = (
+        math.sqrt(float(np.sum(residual * residual))) / tot_sum if tot_sum > 0 else 0.0
+    )
+
+    return SimReport(
+        relative_revenue=revenue,
+        std_error=std_error,
+        selfish_key_rewards=int(np.count_nonzero(selfish)),
+        honest_key_rewards=int(np.count_nonzero(~selfish)),
+        selfish_fees=float(selfish_fees.sum()),
+        honest_fees=float(honest_fees.sum()),
+        orphaned_fee_units=orphaned,
+        pair_counts=count_pairs(selfish),
+        seed=config.seed,
+    )

@@ -103,6 +103,9 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["simulate", "--strategy", "honest", "--m", "1000000000000000"],
         ["pairs", "--alpha", "0.3", "--m", "1000000000000000", "--delta", "0.1",
          "--trials", "1"],
+        # Degenerate alpha skips the analytic bound, not the delta check.
+        ["pairs", "--alpha", "1", "--m", "100", "--delta", "nan", "--trials", "10"],
+        ["pairs", "--alpha", "0", "--m", "100", "--delta", "5", "--trials", "10"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ def test_empirical_summary_degenerate_alpha():
     assert s.deviation_fraction == 0.0 and s.mean_z == 0.0
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0, 5.0])
+def test_empirical_summary_rejects_delta(alpha, delta):
+    with pytest.raises(cc.SequenceError, match="delta"):
+        cc.empirical_pair_summary(alpha, 100, delta, trials=10, seed=0)
+
+
 def test_empirical_deviation_matches_direct_counting():
     # Cross-check the batched trial loop against count_pairs over one draw
     # of all trials at once; more trials than one batch, so the result must
@@ -72,3 +80,14 @@ def test_empirical_deviation_matches_direct_counting():
         z_sum += z
     assert summary.deviation_fraction == hits / trials
     assert summary.mean_z == z_sum / trials
+
+
+def test_empirical_summary_memory_is_bounded():
+    # Only one batch of draws is held at a time: 10k x 10,001 draws are 800 MB.
+    tracemalloc.start()
+    try:
+        cc.empirical_pair_summary(0.3, 10_001, 0.1, 10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

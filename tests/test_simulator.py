@@ -1,6 +1,9 @@
 import dataclasses
+import itertools
+import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +28,12 @@ from ng_incentives.simulator import (
     Inclusion,
     MdpPolicy,
     SimConfig,
+    _INTERVAL_SLICE,
     _step,
     run,
 )
 
-from oracles import policy_value, sm1_action, sm1_revenue
+from oracles import interval_reference, policy_value, sm1_action, sm1_revenue
 
 
 def _config(strategy, alpha=0.3, r=0.4, m=200_000, seed=11, **kwargs):
@@ -110,6 +114,45 @@ def test_revenue_is_scalarized_ratio():
     assert rep.relative_revenue == pytest.approx(
         rep.selfish_fees / (rep.selfish_fees + rep.honest_fees), abs=1e-12
     )
+
+
+_S = _INTERVAL_SLICE
+
+
+@pytest.mark.parametrize("interval_mode", ["exponential", "deterministic"])
+@pytest.mark.parametrize("m", [2, 3, _S - 1, _S, _S + 1, _S + 2, 200_000])
+def test_interval_report_matches_per_interval_reference(m, interval_mode):
+    # The per-category sums over sliced draws against full-length arrays
+    # from the same seeded stream; m around the slice length catches an
+    # off-by-one at a slice edge.  Summation order differs, so float fields
+    # get a tolerance; std_error is exactly 0 in some configurations.
+    strategies = [Honest(), Inclusion(0.5), Inclusion(1.0), Extension(0.5), Extension(1.0)]
+    weights = [None, RewardWeights.equal(), RewardWeights.key_dominated()]
+    grid = itertools.product(strategies, weights, [0.0, 0.3, 1.0], [0.0, 0.4, 1.0])
+    for strategy, w, alpha, r in grid:
+        params = ProtocolParams(alpha=alpha, split_ratio=r)
+        config = SimConfig(params, strategy, m, 5, interval_mode, w)
+        got, want = run(config).to_dict(), interval_reference(config).to_dict()
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, int):
+                assert got[name] == value, (config, name)
+            elif name == "std_error":
+                assert math.isclose(got[name], value, rel_tol=1e-9, abs_tol=1e-15), config
+            else:
+                assert math.isclose(got[name], value, rel_tol=1e-12), (config, name)
+
+
+def test_interval_memory_is_bounded():
+    # One byte per key block stays, plus one slice of draws.
+    config = _config(Inclusion(0.5), alpha=0.5, m=4_000_000)
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.fixture(scope="module")
