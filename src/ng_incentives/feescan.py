@@ -2,7 +2,7 @@
 whale/regular classification."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -62,7 +62,8 @@ class FeeDistribution:
 
     count: int
     bucket_counts: tuple[int, ...]  # len(edges) + 1: underflow, bins, overflow
-    _sorted_fees: tuple[float, ...]
+    # Read-only; distributions compare by count and buckets alone.
+    _sorted_fees: np.ndarray = field(compare=False, repr=False)
 
     def cdf_at(self, threshold: float) -> float:
         """Fraction of fees strictly below the threshold."""
@@ -85,10 +86,12 @@ def distribution(fees: np.ndarray, edges: Iterable[float]) -> FeeDistribution:
     # that edge; index 0 is the underflow bucket, len(edges) the overflow.
     idx = np.searchsorted(edges, fees, side="right")
     counts = np.bincount(idx, minlength=len(edges) + 1)
+    sorted_fees = np.sort(fees)
+    sorted_fees.flags.writeable = False
     return FeeDistribution(
         count=fees.size,
         bucket_counts=tuple(int(c) for c in counts),
-        _sorted_fees=tuple(np.sort(fees)),
+        _sorted_fees=sorted_fees,
     )
 
 

@@ -7,10 +7,15 @@ mean-length interval), split between the issuing leader (fraction r) and
 the next key-block miner (1 - r).  Attacks orphan part of the fee mass of
 the intervals they touch.  These interval strategies reduce every interval
 to its category (who mined the key blocks at its two ends) and its fee
-mass, so a run keeps per-category sums, one byte per key block and one
-slice of draws, whatever its length.  The rollout of a solved
+mass, so a run keeps sums per batch and category, one byte per key block
+and one slice of draws, whatever its length.  The rollout of a solved
 selfish-mining policy instead counts one fee unit per key-block interval,
 as the decision process does, so it ignores the interval mode.
+
+Both simulators report as std_error the batch-means standard error of the
+revenue ratio over _BATCHES batches of consecutive intervals or key blocks;
+a batch of many intervals carries the covariance of adjacent intervals,
+which share a key block, into the estimate.
 """
 from __future__ import annotations
 
@@ -131,10 +136,11 @@ def run(config: SimConfig) -> SimReport:
 # Interval categories, 2 * leader + next with 1 for a selfish block.
 _HH, _HS, _SH, _SS = range(4)
 _INTERVAL_SLICE = 1 << 15  # draws per generator call in the interval simulator
+_BATCHES = 512  # batch means behind both simulators' standard error
 
 
 def _run_interval_strategy(config: SimConfig) -> SimReport:
-    """Interval simulation from per-category sums.
+    """Interval simulation from per-batch, per-category sums.
 
     Interval i runs from key block i to key block i + 1 and falls in
     category 2 * leader + next, leader and next being whether blocks i and
@@ -147,15 +153,13 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
         SH  selfish honest     r            Inclusion.rho
         SS  selfish selfish    1            0
 
-    The key reward of block i + 1 goes to interval i.  So the report is
-    linear in the per-category count n_c and fee sum sum(f); the adjacent
-    pairs are z = n_SH and k = n_HS.  The standard error comes from the
-    per-interval residuals a_c f + b_c of the ratio, with
-    a_c = fee_weight (1 - orphaned_c) (share_c - revenue) and
-    b_c = key_weight (next_c - revenue).  Their squares sum per category in
-    the centered form a_c^2 (sum(f^2) - mu_c sum(f)) + n_c (a_c mu_c + b_c)^2,
-    mu_c = sum(f) / n_c, which has no cancellation where the residuals
-    vanish.  Deterministic intervals have f = 1.
+    The key reward of block i + 1 goes to interval i.  The m - 1 intervals
+    fall into batches of max(1, m // _BATCHES) consecutive intervals, and a
+    run keeps the count n_c and fee sum sum(f) of every (batch, category).
+    Their column sums give the report, linear in n_c and sum(f); the
+    adjacent pairs are z = n_SH and k = n_HS.  Each batch's rows give its
+    (selfish, total) revenue sums, whose batch means give the standard
+    error.  Deterministic intervals have f = 1.
 
     The seeded stream draws all m ownership uniforms, then the m - 1 fee
     masses, each in slices of _INTERVAL_SLICE.  Every uniform precedes the
@@ -176,22 +180,29 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     owner = selfish.view(np.uint8)
 
     exponential = config.interval_mode == "exponential"
-    count = np.zeros(4, np.int64)
-    fee_sum = np.zeros(4)
-    fee_square_sum = np.zeros(4)
+    size = max(1, m // _BATCHES)
+    cells = 4 * len(range(0, m - 1, size))
+    cell_count = np.zeros(cells, np.int64)
+    cell_fees = np.zeros(cells)
     for start in range(0, m - 1, _INTERVAL_SLICE):
         stop = min(start + _INTERVAL_SLICE, m - 1)
-        category = 2 * owner[start:stop] + owner[start + 1 : stop + 1]
-        count += np.bincount(category, minlength=4)
+        # Cell 4 * batch + category, built in place: one index per interval.
+        cell = np.arange(start, stop)
+        cell //= size
+        cell *= 4
+        cell += 2 * owner[start:stop] + owner[start + 1 : stop + 1]
+        cell_count += np.bincount(cell, minlength=cells)
         if exponential:
             # Fee mass in fee units: the interval length in units of the
             # mean interval.
             f = draws[: stop - start]
             rng.standard_exponential(out=f)
-            fee_sum += np.bincount(category, weights=f, minlength=4)
-            fee_square_sum += np.bincount(category, weights=np.square(f, out=f), minlength=4)
+            cell_fees += np.bincount(cell, weights=f, minlength=cells)
     if not exponential:
-        fee_sum = fee_square_sum = count.astype(float)
+        cell_fees = cell_count.astype(float)
+    # One row per batch, one column per category.
+    cell_count, cell_fees = cell_count.reshape(-1, 4), cell_fees.reshape(-1, 4)
+    count, fee_sum = cell_count.sum(axis=0), cell_fees.sum(axis=0)
 
     r = p.split_ratio
     share = np.array([0.0, 1.0 - r, r, 1.0])
@@ -212,17 +223,13 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     sel_sum = fw * selfish_fees + kw * selfish_blocks
     tot_sum = fw * (selfish_fees + honest_fees) + kw * (m - 1)
     revenue = sel_sum / tot_sum if tot_sum > 0 else 0.0
-    a = fw * (1.0 - orphan_fraction) * (share - revenue)
-    b = kw * (next_selfish - revenue)
-    mu = fee_sum / np.maximum(count, 1)  # empty categories have zero sums
-    # A sum of squared deviations: rounding must not take it below zero.
-    spread = np.maximum(fee_square_sum - mu * fee_sum, 0.0)
-    square_sum = float(np.sum(a * a * spread + count * (a * mu + b) ** 2))
-    std_error = math.sqrt(square_sum) / tot_sum if tot_sum > 0 else 0.0
+    kept_weight = fw * (1.0 - orphan_fraction)
+    batch_selfish = cell_fees @ (kept_weight * share) + kw * (cell_count @ next_selfish)
+    batch_total = cell_fees @ kept_weight + kw * cell_count.sum(axis=1)
 
     return SimReport(
         relative_revenue=revenue,
-        std_error=std_error,
+        std_error=_batch_std_error(batch_selfish, batch_total, revenue),
         selfish_key_rewards=selfish_blocks,
         honest_key_rewards=m - selfish_blocks,
         selfish_fees=selfish_fees,
@@ -243,7 +250,6 @@ _SELFISH, _MATCH_WIN, _HONEST = range(_CODES)
 _R_A, _R_H, _T_A, _T_H, _ORPHANED = range(5)
 _NO_DELTA = (0.0, 0.0, 0.0, 0.0, 0.0)
 _SLICE = 2048  # draws per generator call and scan, to keep both small
-_BATCHES = 512  # batch means behind the rollout's standard error
 
 
 def _show(state: MdpState) -> str:
@@ -394,7 +400,8 @@ def _run_policy(config: SimConfig) -> SimReport:
     policy once, then scans the seeded draw stream through the resulting
     table.  The ledger is written here, independently of the solver's
     transition table, so the rollout checks the solver's reward accounting.
-    Totals are entry visit counts times entry ledger deltas.
+    Totals are entry visit counts times entry ledger deltas; each key
+    block's selfish and total values also add into its batch's sums.
     """
     assert isinstance(config.strategy, MdpPolicy)
     result = config.strategy.result
@@ -414,17 +421,15 @@ def _run_policy(config: SimConfig) -> SimReport:
     alpha = p.alpha
     match_win = alpha + p.gamma * (1.0 - alpha)
     counts = np.zeros(len(successors), np.int64)
-    batch_counts = np.zeros_like(counts)
-    batch_size = max(1, m // _BATCHES)
-    batch_end = min(batch_size, m)
-    batch_points: list[tuple[float, float]] = []
+    size = max(1, m // _BATCHES)
+    batches = len(range(0, m, size))
+    batch_selfish = np.zeros(batches)
+    batch_total = np.zeros(batches)
     z = k = 0
     prev_selfish = False
-    done = 0
-    while done < m:
-        # One uniform draw per key block; each slice ends at or before the
-        # next batch boundary.
-        draws = rng.random(min(_SLICE, batch_end - done))
+    for done in range(0, m, _SLICE):
+        # One uniform draw per key block.
+        draws = rng.random(min(_SLICE, m - done))
         selfish = draws < alpha
         codes = (~selfish).view(np.uint8) + (draws >= match_win).view(np.uint8)
         # Adjacent pairs: selfish then honest (z), honest then selfish (k).
@@ -438,18 +443,11 @@ def _run_policy(config: SimConfig) -> SimReport:
             i = s + code
             visit(i)
             s = successors[i]
-        batch_counts += np.bincount(path, minlength=counts.size)
-        done += draws.size
-        if done == batch_end:
-            # Elementwise sums: a BLAS dot product of this length would
-            # wake BLAS worker threads.
-            batch_points.append(
-                (float(np.sum(batch_counts * sel_value)),
-                 float(np.sum(batch_counts * all_value)))
-            )
-            counts += batch_counts
-            batch_counts[:] = 0
-            batch_end = min(batch_end + batch_size, m)
+        path = np.array(path)
+        counts += np.bincount(path, minlength=counts.size)
+        batch = np.arange(done, done + draws.size) // size
+        batch_selfish += np.bincount(batch, weights=sel_value[path], minlength=batches)
+        batch_total += np.bincount(batch, weights=all_value[path], minlength=batches)
 
     r_a, r_h, t_a, t_h, orphaned = np.sum(counts[:, None] * deltas, axis=0).tolist()
     sel_total = kw * r_a + fw * t_a
@@ -457,7 +455,7 @@ def _run_policy(config: SimConfig) -> SimReport:
     revenue = sel_total / all_total if all_total > 0 else 0.0
     return SimReport(
         relative_revenue=revenue,
-        std_error=_batch_std_error(batch_points, revenue),
+        std_error=_batch_std_error(batch_selfish, batch_total, revenue),
         selfish_key_rewards=int(r_a),
         honest_key_rewards=int(r_h),
         selfish_fees=t_a,
@@ -469,11 +467,11 @@ def _run_policy(config: SimConfig) -> SimReport:
     )
 
 
-def _batch_std_error(points: list[tuple[float, float]], revenue: float) -> float:
-    if len(points) < 2:
+def _batch_std_error(selfish: np.ndarray, total: np.ndarray, revenue: float) -> float:
+    """Batch-means standard error of the revenue ratio from per-batch
+    (selfish, total) sums; a single batch gives 0."""
+    tot = float(np.sum(total))
+    if selfish.size < 2 or tot <= 0:
         return 0.0
-    tot = sum(t for _, t in points)
-    if tot <= 0:
-        return 0.0
-    residuals = [s - revenue * t for s, t in points]
-    return math.sqrt(sum(x * x for x in residuals)) / tot
+    residual = selfish - revenue * total
+    return math.sqrt(float(np.sum(residual * residual))) / tot

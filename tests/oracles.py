@@ -94,9 +94,15 @@ def interval_reference(config: SimConfig) -> SimReport:
     tot_stream = weights.fee_weight * (selfish_fees + honest_fees) + weights.key_weight
     sel_sum, tot_sum = float(sel_stream.sum()), float(tot_stream.sum())
     revenue = sel_sum / tot_sum if tot_sum > 0 else 0.0
-    residual = sel_stream - revenue * tot_stream
+    # Batch means over batches of max(1, m // 512) consecutive intervals.
+    starts = np.arange(0, m - 1, max(1, m // 512))
+    residual = np.add.reduceat(sel_stream, starts) - revenue * np.add.reduceat(
+        tot_stream, starts
+    )
     std_error = (
-        math.sqrt(float(np.sum(residual * residual))) / tot_sum if tot_sum > 0 else 0.0
+        math.sqrt(float(np.sum(residual * residual))) / tot_sum
+        if tot_sum > 0 and starts.size > 1
+        else 0.0
     )
 
     return SimReport(

@@ -120,12 +120,14 @@ _S = _INTERVAL_SLICE
 
 
 @pytest.mark.parametrize("interval_mode", ["exponential", "deterministic"])
-@pytest.mark.parametrize("m", [2, 3, _S - 1, _S, _S + 1, _S + 2, 200_000])
+@pytest.mark.parametrize("m", [2, 3, 1023, 1024, 1025, _S - 1, _S, _S + 1, _S + 2, 200_000])
 def test_interval_report_matches_per_interval_reference(m, interval_mode):
-    # The per-category sums over sliced draws against full-length arrays
-    # from the same seeded stream; m around the slice length catches an
-    # off-by-one at a slice edge.  Summation order differs, so float fields
-    # get a tolerance; std_error is exactly 0 in some configurations.
+    # The per-batch, per-category sums over sliced draws against full-length
+    # arrays from the same seeded stream; m around the slice length catches
+    # an off-by-one at a slice edge, and m around 1024 and _S + 1 (batches
+    # of 1, 2 or 64 intervals, dividing m - 1 or not) one at a batch edge.
+    # Summation order differs, so float fields get a tolerance; std_error is
+    # exactly 0 in some configurations.
     strategies = [Honest(), Inclusion(0.5), Inclusion(1.0), Extension(0.5), Extension(1.0)]
     weights = [None, RewardWeights.equal(), RewardWeights.key_dominated()]
     grid = itertools.product(strategies, weights, [0.0, 0.3, 1.0], [0.0, 0.4, 1.0])
@@ -141,6 +143,15 @@ def test_interval_report_matches_per_interval_reference(m, interval_mode):
                 assert math.isclose(got[name], value, rel_tol=1e-9, abs_tol=1e-15), config
             else:
                 assert math.isclose(got[name], value, rel_tol=1e-12), (config, name)
+
+
+def test_interval_std_error_is_calibrated():
+    # At 0 < r < 1 both shares of a key block's neighbouring intervals go to
+    # its miner, so adjacent intervals covary; an estimator that treats
+    # intervals as independent reads about 1.2 here.
+    reports = [run(_config(Honest(), r=0.5, m=20_000, seed=seed)) for seed in range(400)]
+    spread = np.std([rep.relative_revenue for rep in reports], ddof=1)
+    assert abs(spread / np.mean([rep.std_error for rep in reports]) - 1) < 0.1
 
 
 def test_interval_memory_is_bounded():
@@ -170,6 +181,15 @@ def test_policy_rollout_tracks_solver(solved):
         result.revenue, abs=max(0.006, 4 * rep.std_error)
     )
     assert rep.relative_revenue > params.alpha  # profitable above threshold
+
+
+def test_policy_rollout_std_error_is_calibrated():
+    # The spread of the rollout over seeds against its mean reported se.
+    params = ProtocolParams(alpha=0.3, gamma=0.5, split_ratio=0.4)
+    result = solve(build_transitions(params, truncation=12), RewardWeights.fee_dominated())
+    reports = [run(SimConfig(params, MdpPolicy(result), 100_000, seed)) for seed in range(60)]
+    spread = np.std([rep.relative_revenue for rep in reports], ddof=1)
+    assert 0.75 <= spread / np.mean([rep.std_error for rep in reports]) <= 1.3
 
 
 def test_policy_rollout_deterministic(solved):
