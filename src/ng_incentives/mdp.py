@@ -32,6 +32,10 @@ gamma(1-alpha), (1-gamma)(1-alpha) or 1) and a reward id whose fields are
 c + a*r + b*(1-r); a TransitionTable fills both in for one parameter point
 with a few vector operations.
 
+scipy is imported only in TransitionTable.__init__, where the first CSR
+transition matrix is built, so analyses that never build an MDP table
+(closed forms, interval simulator, pair Monte Carlo) start without it.
+
 The optimal relative revenue solves a ratio objective by Dinkelbach
 iteration: relative value iteration maximizes the long-run average of
 (selfish reward - w * total reward), and the greedy policy's exact ratio,
@@ -46,7 +50,6 @@ from itertools import count, product
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .model import ProtocolParams, RewardWeights
 
@@ -262,13 +265,12 @@ class _Skeleton:
                     reward_id = r_kind * ids_per_kind + source
                     outcomes.append((flat, self.state_index[target], p_kind, reward_id))
         self.row, self.col, self.prob_kind, self.reward_id = np.array(outcomes).T
-        pattern = sparse.csr_matrix(
-            (np.arange(len(outcomes)), (self.row, self.col)),
-            shape=(len(ACTION_ORDER) * n, n),
-        )
-        self.csr_order, self.indices, self.indptr = (
-            pattern.data, pattern.indices, pattern.indptr
-        )
+        # No (row, col) pair repeats, so sorting the outcomes by row, then
+        # column, gives the CSR pattern directly.
+        self.csr_order = np.lexsort((self.col, self.row))
+        self.indices = self.col[self.csr_order].astype(np.int32)
+        row_counts = np.bincount(self.row, minlength=len(ACTION_ORDER) * n)
+        self.indptr = np.concatenate(([0], np.cumsum(row_counts))).astype(np.int32)
         self.available = np.diff(self.indptr) > 0
         # Indexed by reward id, then RewardTuple field, then (c, a, b).
         keys = product(range(4), range(truncation + 1), LastMicro)
@@ -292,6 +294,9 @@ class TransitionTable:
     """
 
     def __init__(self, params: ProtocolParams, truncation: int):
+        # Deferred so that importing the package does not load scipy.
+        from scipy import sparse
+
         if truncation < 2:
             raise ValueError("truncation must be at least 2")
         skeleton = _skeleton(truncation)
@@ -410,7 +415,7 @@ def _gain(
     raise SolverError("value iteration did not converge", _MAX_INNER, hi - lo)
 
 
-def _stationary(chain: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+def _stationary(chain, x: np.ndarray) -> np.ndarray:
     """Stationary distribution of a policy's chain reached from x.
 
     Power iteration on the lazy chain x <- x/2 + P^T x/2, which has the

@@ -59,6 +59,8 @@ class RewardWeights:
     fee_weight: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _require(math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
         _require(self.key_weight >= 0.0, "key_weight must be nonnegative")
         _require(self.fee_weight >= 0.0, "fee_weight must be nonnegative")
         _require(self.key_weight + self.fee_weight > 0.0, "weights cannot both be zero")

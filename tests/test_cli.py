@@ -206,6 +206,36 @@ def test_python_dash_m_runs_the_cli_from_source(tmp_path, capsys):
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
 
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from ng_incentives import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+cli.build_parser()
+run("bounds", "--alpha", "0.25")
+run("revenue", "--alpha", "0.3", "--rho-grid", "0:1:0.5")
+run("simulate", "--strategy", "honest", "--m", "1000", "--seed", "1")
+run("pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--trials", "10")
+run("fees", "--input", sys.argv[1])
+assert "scipy" not in sys.modules, "scipy loaded without an MDP table"
+run("mdp", "--alpha", "0.3", "--L", "4", "--regime", "key")
+assert "scipy" in sys.modules, "mdp ran without scipy"
+"""
+
+
+def test_only_an_mdp_table_imports_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, FIXTURE],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pairs_row(capsys):
     code, out, _ = _run(
         capsys,

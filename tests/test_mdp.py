@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from ng_incentives import mdp
 from ng_incentives.cli import main
@@ -230,6 +232,23 @@ def test_action_availability_rules(table):
 def test_truncation_validation():
     with pytest.raises(ValueError):
         build_transitions(PARAMS, truncation=1)
+
+
+@pytest.mark.parametrize("truncation", [2, 3, 8, 20])
+def test_csr_pattern_matches_scipy(truncation):
+    sk = mdp._skeleton(truncation)
+    pairs = sk.row * len(sk.states) + sk.col
+    # scipy would sum the ids of a repeated pair; the numpy pattern would not.
+    assert len(np.unique(pairs)) == len(pairs)
+    reference = sparse.csr_matrix(
+        (np.arange(len(sk.row)), (sk.row, sk.col)),
+        shape=(len(ACTION_ORDER) * len(sk.states), len(sk.states)),
+    )
+    assert np.array_equal(sk.csr_order, reference.data)
+    assert np.array_equal(sk.indices, reference.indices)
+    assert np.array_equal(sk.indptr, reference.indptr)
+    transition = build_transitions(PARAMS, truncation).transition
+    assert transition.indices.dtype == transition.indptr.dtype == np.int32
 
 
 def test_scalarize_regimes():

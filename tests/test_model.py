@@ -49,6 +49,9 @@ def test_regime_weights_exact():
         RewardWeights.from_regime("bogus")
     with pytest.raises(ParameterError):
         RewardWeights(0.0, 0.0)
+    for key, fee in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            RewardWeights(key, fee)
 
 
 def test_parse_config_text_with_aliases_and_comments():
