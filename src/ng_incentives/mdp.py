@@ -272,6 +272,7 @@ class _Skeleton:
         row_counts = np.bincount(self.row, minlength=len(ACTION_ORDER) * n)
         self.indptr = np.concatenate(([0], np.cumsum(row_counts))).astype(np.int32)
         self.available = np.diff(self.indptr) > 0
+        self.boundary = np.array([max(s.l_a, s.l_h) == truncation for s in self.states])
         # Indexed by reward id, then RewardTuple field, then (c, a, b).
         keys = product(range(4), range(truncation + 1), LastMicro)
         self.coefficients = np.array([_reward_coefficients(*k) for k in keys], float)
@@ -366,12 +367,21 @@ def build_transitions(params: ProtocolParams, truncation: int = 20) -> Transitio
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The solved policy and its exact revenue, with solver diagnostics:
+    Dinkelbach steps, value iteration sweeps and policy evaluation
+    iterations summed over the steps, and the returned policy's stationary
+    mass on the truncation boundary (l_a == L or l_h == L), which is small
+    when L is large enough."""
+
     revenue: float
     policy: dict[MdpState, MdpAction]
     outer_iterations: int
     truncation: int
     weights: RewardWeights
     params: ProtocolParams  # the parameter point the policy was solved for
+    rvi_sweeps: int
+    eval_iterations: int
+    boundary_mass: float
 
 
 class SolverError(RuntimeError):
@@ -384,9 +394,9 @@ class SolverError(RuntimeError):
         self.span = span
 
 
-# Solver constants: the value iteration span tolerance, its iteration cap
-# and self-loop damping; the policy evaluation's L1 change tolerance and its
-# iteration cap.
+# Solver constants: the value iteration span tolerance and its iteration
+# cap; the self-loop damping of both value iteration and policy evaluation;
+# the policy evaluation's L1 change tolerance and its iteration cap.
 _EPS_INNER = 1e-7
 _MAX_INNER = 500_000
 _DAMPING = 0.995
@@ -396,14 +406,14 @@ _MAX_EVAL = 200_000
 
 def _gain(
     table: TransitionTable, reward: np.ndarray, values: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, int]:
     """Optimal average of the transformed reward by relative value iteration.
 
     The damping mixes in a self-loop, which removes periodicity without
-    changing the average reward.  Returns (gain, bias values).
+    changing the average reward.  Returns (gain, bias values, sweeps).
     """
     v = values
-    for _ in range(_MAX_INNER):
+    for sweep in range(1, _MAX_INNER + 1):
         q = reward + table.transition @ v
         best = q.reshape(len(ACTION_ORDER), -1).max(axis=0)
         mixed = (1.0 - _DAMPING) * v + _DAMPING * best
@@ -411,24 +421,31 @@ def _gain(
         lo, hi = diff.min(), diff.max()
         v = mixed - mixed[0]
         if (hi - lo) / _DAMPING < _EPS_INNER:
-            return (hi + lo) / (2.0 * _DAMPING), v
+            return (hi + lo) / (2.0 * _DAMPING), v, sweep
     raise SolverError("value iteration did not converge", _MAX_INNER, hi - lo)
 
 
-def _stationary(chain, x: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a policy's chain reached from x.
+def _stationary(chain, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Stationary distribution of a policy's chain reached from x, and the
+    number of iterations taken.
 
-    Power iteration on the lazy chain x <- x/2 + P^T x/2, which has the
-    stationary distributions of P and no periodicity, until the L1 change
-    of one step falls below _EPS_EVAL.
+    Power iteration on the damped chain x <- x + _DAMPING * (P^T x - x).
+    Any self-loop weight 1 - _DAMPING > 0 keeps the stationary distributions
+    of P and removes periodicity (Puterman 1994, section 8.5.4), and one
+    close to 0 keeps nearly all of P's mixing per step.  The lazy step
+    x/2 + P^T x/2 needs about twice the steps on a slowly mixing chain, and
+    at high alpha those extra steps are the costliest: the mass of the
+    transient states decays into subnormal floats, which multiply several
+    times slower.  Stops when the L1 change of one step falls below
+    _EPS_EVAL.
     """
     transposed = chain.T.tocsr()
-    for _ in range(_MAX_EVAL):
-        step = 0.5 * (transposed @ x - x)
+    for iteration in range(1, _MAX_EVAL + 1):
+        step = _DAMPING * (transposed @ x - x)
         x = x + step
         change = np.abs(step).sum()
         if change < _EPS_EVAL:
-            return x
+            return x, iteration
     raise SolverError("policy evaluation did not converge", _MAX_EVAL, change)
 
 
@@ -441,7 +458,7 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     distribution to an L1 change below _EPS_EVAL) becomes the next w.  The
     steps stop once the gain is at most _EPS_INNER or the ratio stops
     rising.  revenue is the exact ratio of the best policy evaluated, which
-    is the one returned; outer_iterations counts the steps.
+    is the one returned, with the diagnostics SolveResult lists.
     """
     r_self, r_total = table.expected_rewards(weights)
     # Unavailable pairs never win a max: their reward -inf - w * 0 stays -inf.
@@ -450,17 +467,20 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     v = np.zeros(n)
     x = np.zeros(n)
     x[0] = 1.0
-    w, best, best_actions = 0.0, -np.inf, None
+    w, best, best_actions, best_x = 0.0, -np.inf, None, None
+    sweeps = evaluations = 0
     for outer in count(1):
         reward = r_self - w * r_total
-        g, v = _gain(table, reward, v)
+        g, v, used = _gain(table, reward, v)
+        sweeps += used
         q = reward + table.transition @ v
         actions = q.reshape(len(ACTION_ORDER), -1).argmax(axis=0)
         rows = actions * n + np.arange(n)
-        x = _stationary(table.transition[rows], x)
+        x, used = _stationary(table.transition[rows], x)
+        evaluations += used
         ratio = float(x @ r_self[rows]) / float(x @ r_total[rows])
         if ratio > best:
-            best, best_actions = ratio, actions
+            best, best_actions, best_x = ratio, actions, x
         if g <= _EPS_INNER or ratio <= w:
             break
         w = ratio
@@ -471,4 +491,7 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
         truncation=table.truncation,
         weights=weights,
         params=table.params,
+        rvi_sweeps=sweeps,
+        eval_iterations=evaluations,
+        boundary_mass=float(best_x[table._skeleton.boundary].sum()),
     )

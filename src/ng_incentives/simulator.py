@@ -135,7 +135,7 @@ def run(config: SimConfig) -> SimReport:
 
 # Interval categories, 2 * leader + next with 1 for a selfish block.
 _HH, _HS, _SH, _SS = range(4)
-_INTERVAL_SLICE = 1 << 15  # draws per generator call in the interval simulator
+_SLICE = 1 << 15  # draws per generator call in both simulators
 _BATCHES = 512  # batch means behind both simulators' standard error
 
 
@@ -162,7 +162,7 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     error.  Deterministic intervals have f = 1.
 
     The seeded stream draws all m ownership uniforms, then the m - 1 fee
-    masses, each in slices of _INTERVAL_SLICE.  Every uniform precedes the
+    masses, each in slices of _SLICE.  Every uniform precedes the
     first fee mass, so the ownership of all m key blocks stays in memory,
     one byte each; everything else is bounded by the slice length.
     """
@@ -171,9 +171,9 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     rng = np.random.default_rng(config.seed)
 
     selfish = np.empty(m, dtype=bool)
-    draws = np.empty(min(_INTERVAL_SLICE, m))
-    for start in range(0, m, _INTERVAL_SLICE):
-        u = draws[: min(_INTERVAL_SLICE, m - start)]
+    draws = np.empty(min(_SLICE, m))
+    for start in range(0, m, _SLICE):
+        u = draws[: min(_SLICE, m - start)]
         rng.random(out=u)
         np.less(u, p.alpha, out=selfish[start : start + u.size])
     selfish[0] = False  # starting ancestor block is honest by convention
@@ -184,8 +184,8 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     cells = 4 * len(range(0, m - 1, size))
     cell_count = np.zeros(cells, np.int64)
     cell_fees = np.zeros(cells)
-    for start in range(0, m - 1, _INTERVAL_SLICE):
-        stop = min(start + _INTERVAL_SLICE, m - 1)
+    for start in range(0, m - 1, _SLICE):
+        stop = min(start + _SLICE, m - 1)
         # Cell 4 * batch + category, built in place: one index per interval.
         cell = np.arange(start, stop)
         cell //= size
@@ -249,7 +249,7 @@ _SELFISH, _MATCH_WIN, _HONEST = range(_CODES)
 # Ledger delta fields of one step, in this order.
 _R_A, _R_H, _T_A, _T_H, _ORPHANED = range(5)
 _NO_DELTA = (0.0, 0.0, 0.0, 0.0, 0.0)
-_SLICE = 2048  # draws per generator call and scan, to keep both small
+_CHUNK = 128  # draw codes per row of the rollout's parallel scan
 
 
 def _show(state: MdpState) -> str:
@@ -346,11 +346,11 @@ def _compile(result: SolveResult, r: float) -> tuple:
     """Tabulate a policy's rollout: entry _CODES * i + code stands for state
     i of result.policy followed by a key block with that draw code.
 
-    Returns the entry base _CODES * j of the next state per entry (a list,
-    for fast scalar indexing), the ledger delta per entry, the truncation
-    boundary visits per entry and the start state's entry base.  A chain of
-    REVERTs folds into the drawing step after it, which also counts the
-    chain's boundary visits.  Raises ValueError, naming the state, where
+    Returns the entry base _CODES * j of the next state per entry (an int32
+    array), the ledger delta per entry, the truncation boundary visits per
+    entry and the start state's entry base.  A chain of REVERTs folds into
+    the drawing step after it, which also counts the chain's boundary
+    visits.  Raises ValueError, naming the state, where
     the policy cannot be followed.
     """
     policy = result.policy
@@ -366,7 +366,7 @@ def _compile(result: SolveResult, r: float) -> tuple:
         return _CODES * index[target]
 
     size = _CODES * len(policy)
-    successors = [0] * size
+    successors = np.zeros(size, np.int32)
     deltas = np.zeros((size, len(_NO_DELTA)))
     visits = np.zeros(size, np.int64)
     for i, state in enumerate(policy):
@@ -393,15 +393,60 @@ def _compile(result: SolveResult, r: float) -> tuple:
     return successors, deltas, visits, _CODES * index[start]
 
 
+def _scan(successors: np.ndarray, codes: np.ndarray, start: int, path: np.ndarray) -> int:
+    """Scan rows of draw codes through a successor table, all rows at once.
+
+    codes and path hold one row of _CHUNK key blocks per row, in key-block
+    order; path receives the entry (state base + code) of every key block on
+    the sequential path from entry base start.  This is a speculative
+    data-parallel scan (Mytkowicz, Musuvathi & Schulte, "Data-Parallel
+    Finite-State Machines", ASPLOS 2014): every row first starts from start
+    as a guess, and all rows advance through their codes in lockstep.  Then
+    each row whose start differs from the previous row's end runs again
+    from that end, until no row differs.  Paths from different states
+    mostly merge within a row, so a rerun stops as soon as every rerun row
+    has rejoined its previous path, and only rows that never merged pass a
+    wrong end on to another pass.  Row 0 starts from the true state, so each
+    pass makes at least the first differing row final: the scan ends with
+    the sequential path after at most as many passes as rows, and returns
+    the number of passes.
+    """
+    first = np.full(len(codes), start, np.int32)
+    last = np.empty_like(first)
+    todo = slice(None)  # every row on the first pass, then the stale ones
+    passes = 0
+    while True:
+        passes += 1
+        s, block = first[todo], codes[todo]
+        lane = path[todo]  # a view of path on the first pass, a copy after
+        for j in range(_CHUNK):
+            entry = s + block[:, j]
+            # Once every stale row has rejoined the path of its last pass,
+            # the rest of that path and its end stand.  Checked every eighth
+            # step: the check costs about half a step.
+            if passes > 1 and j % 8 == 0 and (entry == lane[:, j]).all():
+                s = last[todo]
+                break
+            lane[:, j] = entry
+            s = successors.take(entry)
+        path[todo], last[todo] = lane, s
+        stale = np.flatnonzero(first[1:] != last[:-1]) + 1
+        if not stale.size:
+            return passes
+        first[stale] = last[stale - 1]
+        todo = stale
+
+
 def _run_policy(config: SimConfig) -> SimReport:
     """Chain-state rollout of a solved policy.
 
     Applies each action's chain semantics (_step) to every state of the
     policy once, then scans the seeded draw stream through the resulting
-    table.  The ledger is written here, independently of the solver's
-    transition table, so the rollout checks the solver's reward accounting.
-    Totals are entry visit counts times entry ledger deltas; each key
-    block's selfish and total values also add into its batch's sums.
+    table, one slice of _SLICE key blocks at a time, with _scan.  The
+    ledger is written here, independently of the solver's transition table,
+    so the rollout checks the solver's reward accounting.  Totals are entry
+    visit counts times entry ledger deltas; each key block's selfish and
+    total values also add into its batch's sums.
     """
     assert isinstance(config.strategy, MdpPolicy)
     result = config.strategy.result
@@ -425,29 +470,41 @@ def _run_policy(config: SimConfig) -> SimReport:
     batches = len(range(0, m, size))
     batch_selfish = np.zeros(batches)
     batch_total = np.zeros(batches)
+    # One slice's draws (then its key blocks' values), selfish flags, and
+    # codes and entries in rows of _CHUNK.  The last row of the last slice
+    # may run past the slice on stale codes, valid because codes start at
+    # 0; its entries there are never read.
+    draws = np.empty(min(_SLICE, m))
+    selfish_buffer = np.empty(draws.size, bool)
+    rows = -(-draws.size // _CHUNK)
+    codes = np.zeros((rows, _CHUNK), np.uint8)
+    path = np.empty((rows, _CHUNK), np.int32)
     z = k = 0
     prev_selfish = False
     for done in range(0, m, _SLICE):
         # One uniform draw per key block.
-        draws = rng.random(min(_SLICE, m - done))
-        selfish = draws < alpha
-        codes = (~selfish).view(np.uint8) + (draws >= match_win).view(np.uint8)
+        u = draws[: min(_SLICE, m - done)]
+        rng.random(out=u)
+        selfish = np.less(u, alpha, out=selfish_buffer[: u.size])
+        # The draw code (u >= alpha) + (u >= match_win), built in place.
+        code = codes.reshape(-1)[: u.size]
+        np.greater_equal(u, match_win, out=code.view(bool))
+        code += ~selfish
         # Adjacent pairs: selfish then honest (z), honest then selfish (k).
         before = np.concatenate(([prev_selfish], selfish[:-1]))
         z += int(np.count_nonzero(before & ~selfish))
         k += int(np.count_nonzero(selfish & ~before))
         prev_selfish = selfish[-1]
-        path = []
-        visit = path.append
-        for code in codes.tolist():
-            i = s + code
-            visit(i)
-            s = successors[i]
-        path = np.array(path)
-        counts += np.bincount(path, minlength=counts.size)
-        batch = np.arange(done, done + draws.size) // size
-        batch_selfish += np.bincount(batch, weights=sel_value[path], minlength=batches)
-        batch_total += np.bincount(batch, weights=all_value[path], minlength=batches)
+        used = -(-u.size // _CHUNK)
+        _scan(successors, codes[:used], s, path[:used])
+        entries = path.reshape(-1)[: u.size]
+        s = successors[entries[-1]]
+        counts += np.bincount(entries, minlength=counts.size)
+        # Batch b holds key blocks b * size to (b + 1) * size - 1.
+        lo, hi = done // size, (done + u.size - 1) // size + 1
+        edges = np.maximum(np.arange(lo, hi) * size - done, 0)
+        batch_selfish[lo:hi] += np.add.reduceat(np.take(sel_value, entries, out=u), edges)
+        batch_total[lo:hi] += np.add.reduceat(np.take(all_value, entries, out=u), edges)
 
     r_a, r_h, t_a, t_h, orphaned = np.sum(counts[:, None] * deltas, axis=0).tolist()
     sel_total = kw * r_a + fw * t_a

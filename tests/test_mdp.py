@@ -356,3 +356,40 @@ def test_revenue_is_the_exact_value_of_the_returned_policy(alpha, r, regime):
     result = solve(table, weights)
     exact = policy_value(table, weights, [result.policy[s] for s in table.states])
     assert abs(result.revenue - exact) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "edges, start, cycle",
+    [
+        ([(0, 1), (1, 0)], 0, [0, 1]),
+        ([(0, 1), (1, 2), (2, 0)], 0, [0, 1, 2]),
+        ([(0, 1), (1, 2), (2, 1)], 0, [1, 2]),  # a transient state, then a 2-cycle
+    ],
+)
+def test_stationary_of_periodic_chain_is_uniform_on_its_cycle(edges, start, cycle):
+    # Plain power iteration on a periodic chain oscillates for ever; the
+    # damped step alone must make it converge, to the uniform distribution.
+    n = len(edges)
+    rows, cols = zip(*edges)
+    chain = sparse.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
+    x = np.zeros(n)
+    x[start] = 1.0
+    pi, iterations = mdp._stationary(chain, x)
+    expected = np.zeros(n)
+    expected[cycle] = 1.0 / len(cycle)
+    assert np.abs(pi - expected).max() < 1e-12
+    assert iterations < mdp._MAX_EVAL
+
+
+def test_boundary_mass_falls_as_truncation_grows():
+    # The returned policy's stationary mass on l_a == L or l_h == L says
+    # whether L was large enough; at alpha = 0.4 it must fall with L.
+    params = ProtocolParams(alpha=0.4, gamma=0.5, split_ratio=0.4)
+    results = [
+        solve(build_transitions(params, L), RewardWeights.fee_dominated()) for L in (8, 12, 20)
+    ]
+    masses = [result.boundary_mass for result in results]
+    assert 0.0 < masses[2] < masses[1] < masses[0] < 1.0
+    for result in results:
+        assert result.rvi_sweeps >= result.outer_iterations
+        assert result.eval_iterations >= result.outer_iterations

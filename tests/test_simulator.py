@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ng_incentives import closedform as cf
+from ng_incentives import simulator
 from ng_incentives.mdp import (
     Fork,
     LastMicro,
@@ -28,7 +29,10 @@ from ng_incentives.simulator import (
     Inclusion,
     MdpPolicy,
     SimConfig,
-    _INTERVAL_SLICE,
+    _BATCHES,
+    _CHUNK,
+    _SLICE,
+    _scan,
     _step,
     run,
 )
@@ -116,7 +120,7 @@ def test_revenue_is_scalarized_ratio():
     )
 
 
-_S = _INTERVAL_SLICE
+_S = _SLICE
 
 
 @pytest.mark.parametrize("interval_mode", ["exponential", "deterministic"])
@@ -232,6 +236,9 @@ def _hand_built(
         truncation=truncation,
         weights=weights,
         params=params,
+        rvi_sweeps=0,
+        eval_iterations=0,
+        boundary_mass=0.0,
     )
 
 
@@ -241,6 +248,21 @@ def test_hand_built_honest_policy_earns_fair_share():
     rep = run(SimConfig(params, MdpPolicy(result), 100_000, seed=4))
     assert rep.relative_revenue == pytest.approx(0.3, abs=4 * rep.std_error)
     assert rep.orphaned_fee_units == 0.0 and rep.boundary_visits == 0
+
+
+def test_policy_rollout_memory_is_bounded():
+    # The policy's tables plus one slice of draws, codes and entries,
+    # whatever the number of key blocks.
+    params = ProtocolParams(alpha=0.4)
+    result = _hand_built(_honest_policy(20), params, 20)
+    config = SimConfig(params, MdpPolicy(result), 1_000_000, seed=4)
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
@@ -322,12 +344,17 @@ def test_policy_rollout_conserves_fee_units(
 
 def _step_by_step(config: SimConfig) -> tuple:
     """Reference rollout: one _step per action, reverts included, one draw
-    per key block.  Returns (ledger totals, boundary visits, z, k)."""
+    per key block.  Returns (ledger totals, boundary visits, z, k, the
+    batch-means standard error of the revenue ratio)."""
     result, p, m = config.strategy.result, config.params, config.horizon_keyblocks
+    weights = config.effective_weights()
+    kw, fw = weights.key_weight, weights.fee_weight
+    size = max(1, m // _BATCHES)
+    batches = np.zeros((len(range(0, m, size)), 2))
     draws = np.random.default_rng(config.seed).random(m)
     state = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
     ledger, visits, z, k, prev = np.zeros(5), 0, 0, 0, False
-    for u in draws.tolist():
+    for t, u in enumerate(draws.tolist()):
         while True:
             visits += max(state.l_a, state.l_h) == result.truncation
             if result.policy[state] != MdpAction.REVERT:
@@ -336,31 +363,99 @@ def _step_by_step(config: SimConfig) -> tuple:
         selfish = u < p.alpha
         code = 0 if selfish else 1 if u < p.alpha + p.gamma * (1 - p.alpha) else 2
         z, k, prev = z + (prev and not selfish), k + (selfish and not prev), selfish
-        state, delta = _step(state, result.policy[state], code, p.split_ratio)
-        ledger += delta
-    return ledger, visits, z, k
+        state, (r_a, r_h, t_a, t_h, orphaned) = _step(
+            state, result.policy[state], code, p.split_ratio
+        )
+        ledger += (r_a, r_h, t_a, t_h, orphaned)
+        own = kw * r_a + fw * t_a
+        batches[t // size] += (own, own + kw * r_h + fw * t_h)
+    selfish_sums, total_sums = batches.T
+    total = total_sums.sum()
+    if len(batches) < 2 or total <= 0:
+        return ledger, visits, z, k, 0.0
+    residual = selfish_sums - selfish_sums.sum() / total * total_sums
+    return ledger, visits, z, k, math.sqrt(np.sum(residual**2)) / total
 
 
-@pytest.mark.parametrize("truncation, policy_seed", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2)])
-def test_random_policy_rollout_matches_exact_value_and_reference(truncation, policy_seed):
-    # Random policies use every action, reverts and the boundary included.
+_RANDOM_POLICIES = [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2)]
+
+
+def _random_policy(truncation: int, policy_seed: int, m: int) -> tuple:
+    """(table, config) of a rollout of a policy that picks a random
+    available action in every state; it uses every action, reverts and the
+    truncation boundary included."""
     params = ProtocolParams(alpha=0.35, gamma=0.3, split_ratio=0.6)
     table = build_transitions(params, truncation)
     pick = random.Random(policy_seed).choice
-    actions = [pick(table.actions(s)) for s in table.states]
-    weights = RewardWeights.fee_dominated()
-    result = _hand_built(dict(zip(table.states, actions)), params, truncation, weights)
-    config = SimConfig(params, MdpPolicy(result), 100_000, seed=5)
+    policy = {s: pick(table.actions(s)) for s in table.states}
+    result = _hand_built(policy, params, truncation, RewardWeights.fee_dominated())
+    return table, SimConfig(params, MdpPolicy(result), m, seed=5)
+
+
+@pytest.mark.parametrize("truncation, policy_seed", _RANDOM_POLICIES)
+def test_random_policy_rollout_matches_exact_value_and_reference(truncation, policy_seed):
+    table, config = _random_policy(truncation, policy_seed, 100_000)
+    result = config.strategy.result
     rep = run(config)
     # The solver's transition table gives the policy's exact value.
-    exact = policy_value(table, weights, actions)
+    actions = [result.policy[s] for s in table.states]
+    exact = policy_value(table, result.weights, actions)
     assert abs(rep.relative_revenue - exact) < 4 * rep.std_error
     # Stepping the same draws one action at a time gives the same ledger.
-    ledger, visits, z, k = _step_by_step(config)
+    ledger, visits, z, k, _ = _step_by_step(config)
     assert (rep.selfish_key_rewards, rep.honest_key_rewards) == tuple(ledger[:2])
     assert (rep.pair_counts.z, rep.pair_counts.k, rep.boundary_visits) == (z, k, visits)
     fees = (rep.selfish_fees, rep.honest_fees, rep.orphaned_fee_units)
     assert fees == pytest.approx(tuple(ledger[2:]), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, _SLICE + 1])
+@pytest.mark.parametrize("truncation, policy_seed", _RANDOM_POLICIES)
+def test_policy_rollout_scan_matches_reference_at_edges(
+    truncation, policy_seed, m, monkeypatch
+):
+    # m = 2 is the shortest run; m around _CHUNK gives a partial, a full and
+    # a second scan row; _SLICE + 1 a second slice of one key block.
+    passes = []
+
+    def counted(successors, codes, start, path):
+        passes.append((_scan(successors, codes, start, path), len(codes)))
+        return passes[-1][0]
+
+    monkeypatch.setattr(simulator, "_scan", counted)
+    _, config = _random_policy(truncation, policy_seed, m)
+    rep = run(config)
+    ledger, visits, z, k, se = _step_by_step(config)
+    assert (rep.selfish_key_rewards, rep.honest_key_rewards) == tuple(ledger[:2])
+    assert (rep.pair_counts.z, rep.pair_counts.k, rep.boundary_visits) == (z, k, visits)
+    assert rep.pair_counts.m == m
+    floats = (rep.selfish_fees, rep.honest_fees, rep.orphaned_fee_units, rep.std_error)
+    assert floats == pytest.approx((*ledger[2:], se), rel=1e-12, abs=0.0)
+    w = config.effective_weights()
+    selfish = w.key_weight * ledger[0] + w.fee_weight * ledger[2]
+    total = selfish + w.key_weight * ledger[1] + w.fee_weight * ledger[3]
+    revenue = selfish / total if total > 0 else 0.0
+    assert rep.relative_revenue == pytest.approx(revenue, rel=1e-12, abs=0.0)
+    assert len(passes) == len(range(0, m, _SLICE))
+    assert all(1 <= count <= rows for count, rows in passes)
+
+
+def test_scan_is_exact_when_paths_never_merge():
+    # A successor table that permutes the states for every code: paths from
+    # different states never merge, so only the pass bound ends the scan.
+    states, rows = 7, 5
+    successors = np.array(
+        [3 * ((i + code + 1) % states) for i in range(states) for code in range(3)], np.int32
+    )
+    codes = np.random.default_rng(3).integers(0, 3, (rows, _CHUNK), dtype=np.uint8)
+    path = np.empty((rows, _CHUNK), np.int32)
+    passes = _scan(successors, codes, 6, path)
+    expected, s = [], 6
+    for code in codes.ravel().tolist():
+        expected.append(s + code)
+        s = int(successors[s + code])
+    assert path.ravel().tolist() == expected
+    assert 1 <= passes <= rows
 
 
 def test_chain_rules_agree_with_solver_table():
