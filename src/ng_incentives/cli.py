@@ -96,9 +96,12 @@ def parse_grid(spec: str) -> list[float]:
             grid.pop()
         return [round(x, 12) for x in grid]
     try:
-        return [float(x) for x in spec.split(",") if x.strip()]
+        grid = [float(x) for x in spec.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"non-numeric grid {spec!r}") from None
+    if not grid:
+        raise UsageError(f"grid {spec!r} has no values")
+    return grid
 
 
 def _base_params(args) -> ProtocolParams:

@@ -28,9 +28,10 @@ The MDP has one array representation.  What depends only on the truncation
 L -- states, available actions, outcome targets, the transition sparsity
 pattern and the shape of every reward -- is a read-only skeleton, built
 once per L and cached.  Each outcome has a probability kind (alpha, 1-alpha,
-gamma(1-alpha), (1-gamma)(1-alpha) or 1) and a reward id whose fields are
-c + a*r + b*(1-r); a TransitionTable fills both in for one parameter point
-with a few vector operations.
+gamma(1-alpha), (1-gamma)(1-alpha) or 1) and a reward id whose fields
+(r_h, t_h, r_a, t_a) -- honest key rewards and fee units, then selfish ones
+-- are each c + a*r + b*(1-r); a TransitionTable fills both in for one
+parameter point with a few vector operations.
 
 scipy is imported only in TransitionTable.__init__, where the first CSR
 transition matrix is built, so analyses that never build an MDP table
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 from itertools import count, product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,26 +100,6 @@ class MdpState(NamedTuple):
     last_micro: LastMicro
 
 
-class RewardTuple(NamedTuple):
-    r_h: float  # honest key-block rewards
-    t_h: float  # honest fee units
-    r_a: float  # selfish key-block rewards
-    t_a: float  # selfish fee units
-
-
-class Outcome(NamedTuple):
-    next_state: MdpState
-    probability: float
-    reward: RewardTuple
-
-
-def scalarize(reward: RewardTuple, weights: RewardWeights) -> tuple[float, float]:
-    """Collapse a reward tuple of scalars or arrays to (selfish, total)."""
-    selfish = weights.key_weight * reward.r_a + weights.fee_weight * reward.t_a
-    honest = weights.key_weight * reward.r_h + weights.fee_weight * reward.t_h
-    return selfish, selfish + honest
-
-
 # Probability kinds, in the order TransitionTable fills them in.
 _P_ALPHA, _P_BETA, _P_MATCH, _P_BREAK, _P_ONE = range(5)
 
@@ -141,7 +122,7 @@ _LEADING = {
 
 
 def _reward_coefficients(kind: int, l_h: int, last: LastMicro) -> tuple:
-    """(c, a, b) for each RewardTuple field of one reward.
+    """(c, a, b) for each field (r_h, t_h, r_a, t_a) of one reward.
 
     A finalized stretch of n key blocks pays its owner n key rewards and the
     n - 1 interior fee units, plus the leading unit's share.
@@ -253,7 +234,7 @@ class _Skeleton:
 
     def __init__(self, truncation: int):
         self.states = tuple(enumerate_states(truncation))
-        self.state_index = {s: i for i, s in enumerate(self.states)}
+        state_index = {s: i for i, s in enumerate(self.states)}
         n = len(self.states)
         ids_per_kind = (truncation + 1) * len(LastMicro)
         outcomes = []  # (flat row, next state, probability kind, reward id)
@@ -263,7 +244,7 @@ class _Skeleton:
                 flat = _ACTION_INDEX[action] * n + i
                 for target, p_kind, r_kind in rules:
                     reward_id = r_kind * ids_per_kind + source
-                    outcomes.append((flat, self.state_index[target], p_kind, reward_id))
+                    outcomes.append((flat, state_index[target], p_kind, reward_id))
         self.row, self.col, self.prob_kind, self.reward_id = np.array(outcomes).T
         # No (row, col) pair repeats, so sorting the outcomes by row, then
         # column, gives the CSR pattern directly.
@@ -273,7 +254,7 @@ class _Skeleton:
         self.indptr = np.concatenate(([0], np.cumsum(row_counts))).astype(np.int32)
         self.available = np.diff(self.indptr) > 0
         self.boundary = np.array([max(s.l_a, s.l_h) == truncation for s in self.states])
-        # Indexed by reward id, then RewardTuple field, then (c, a, b).
+        # Indexed by reward id, then reward field, then (c, a, b).
         keys = product(range(4), range(truncation + 1), LastMicro)
         self.coefficients = np.array([_reward_coefficients(*k) for k in keys], float)
         for array in vars(self).values():
@@ -290,8 +271,8 @@ class TransitionTable:
     """Transition and reward structure for one parameterization.
 
     probability holds one entry per outcome, transition is the CSR matrix
-    from flat rows to next states, and reward_values holds one RewardTuple
-    row per reward id.  actions, outcomes and items view these arrays.
+    from flat rows to next states, and reward_values holds one row per
+    reward id with the columns (r_h, t_h, r_a, t_a).
     """
 
     def __init__(self, params: ProtocolParams, truncation: int):
@@ -304,7 +285,6 @@ class TransitionTable:
         self.params = params
         self.truncation = truncation
         self.states = skeleton.states
-        self.state_index = skeleton.state_index
         self.available = skeleton.available
         self._skeleton = skeleton
 
@@ -320,40 +300,16 @@ class TransitionTable:
             shape=(len(self.available), len(self.states)),
         )
 
-    def actions(self, state: MdpState) -> list[MdpAction]:
-        n, i = len(self.states), self.state_index[state]
-        return [a for k, a in enumerate(ACTION_ORDER) if self.available[k * n + i]]
-
-    def outcomes(self, state: MdpState, action: MdpAction) -> list[Outcome]:
-        sk = self._skeleton
-        flat = _ACTION_INDEX[action] * len(self.states) + self.state_index[state]
-        lo, hi = sk.indptr[flat], sk.indptr[flat + 1]
-        if lo == hi:
-            raise KeyError((state, action))
-        first = sk.csr_order[lo:hi].min()
-        span = slice(first, first + hi - lo)
-        return [
-            Outcome(self.states[col], probability, RewardTuple(*reward))
-            for col, probability, reward in zip(
-                sk.col[span].tolist(),
-                self.probability[span].tolist(),
-                self.reward_values[sk.reward_id[span]].tolist(),
-            )
-        ]
-
-    def items(self) -> Iterator[tuple[MdpState, MdpAction, list[Outcome]]]:
-        for flat in dict.fromkeys(self._skeleton.row.tolist()):
-            k, i = divmod(flat, len(self.states))
-            state, action = self.states[i], ACTION_ORDER[k]
-            yield state, action, self.outcomes(state, action)
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.available))
 
     def expected_rewards(self, weights: RewardWeights) -> tuple[np.ndarray, np.ndarray]:
         """Expected (selfish, total) scalar reward of every flat row."""
         sk = self._skeleton
-        selfish, total = scalarize(RewardTuple(*self.reward_values.T), weights)
+        kw, fw = weights.key_weight, weights.fee_weight
+        r_h, t_h, r_a, t_a = self.reward_values.T
+        selfish = kw * r_a + fw * t_a
+        total = selfish + (kw * r_h + fw * t_h)
         size = len(self.available)
         return (
             np.bincount(sk.row, self.probability * selfish[sk.reward_id], size),

@@ -1,9 +1,11 @@
-"""Reference values for checking the solver and the simulator: the exact
-long-run revenue of a fixed policy, Eyal-Sirer SM1 selfish mining
-("Majority is not Enough", arXiv:1311.0243) as a fixed MDP policy with its
-closed-form relative revenue, and the interval simulation computed one
-interval at a time."""
+"""Reference values for checking the solver and the simulator: a
+per-state view of the transition table's arrays, the exact long-run revenue
+of a fixed policy, Eyal-Sirer SM1 selfish mining ("Majority is not Enough",
+arXiv:1311.0243) as a fixed MDP policy with its closed-form relative
+revenue, and the interval simulation computed one interval at a time."""
 import math
+from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -11,8 +13,64 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
 from ng_incentives.concentration import count_pairs
-from ng_incentives.mdp import ACTION_ORDER, Fork, MdpAction, MdpState
+from ng_incentives.mdp import ACTION_ORDER, Fork, MdpAction, MdpState, TransitionTable
 from ng_incentives.simulator import Extension, Inclusion, SimConfig, SimReport
+
+
+class RewardTuple(NamedTuple):
+    r_h: float  # honest key-block rewards
+    t_h: float  # honest fee units
+    r_a: float  # selfish key-block rewards
+    t_a: float  # selfish fee units
+
+
+class Outcome(NamedTuple):
+    next_state: MdpState
+    probability: float
+    reward: RewardTuple
+
+
+class TableView(TransitionTable):
+    """A transition table read one state at a time: the available actions
+    of a state, the outcomes of a (state, action) pair in rule order, and
+    every available pair with its outcomes."""
+
+    @cached_property
+    def state_index(self) -> dict[MdpState, int]:
+        return {s: i for i, s in enumerate(self.states)}
+
+    def actions(self, state: MdpState) -> list[MdpAction]:
+        n, i = len(self.states), self.state_index[state]
+        return [a for k, a in enumerate(ACTION_ORDER) if self.available[k * n + i]]
+
+    def outcomes(self, state: MdpState, action: MdpAction) -> list[Outcome]:
+        sk = self._skeleton
+        flat = ACTION_ORDER.index(action) * len(self.states) + self.state_index[state]
+        lo, hi = sk.indptr[flat], sk.indptr[flat + 1]
+        if lo == hi:
+            raise KeyError((state, action))
+        # Each pair's outcomes are one contiguous run in rule order; the CSR
+        # data order sorts them by target column.
+        first = sk.csr_order[lo:hi].min()
+        span = slice(first, first + hi - lo)
+        return [
+            Outcome(self.states[col], probability, RewardTuple(*reward))
+            for col, probability, reward in zip(
+                sk.col[span].tolist(),
+                self.probability[span].tolist(),
+                self.reward_values[sk.reward_id[span]].tolist(),
+            )
+        ]
+
+    def items(self) -> Iterator[tuple[MdpState, MdpAction, list[Outcome]]]:
+        for flat in dict.fromkeys(self._skeleton.row.tolist()):
+            k, i = divmod(flat, len(self.states))
+            state, action = self.states[i], ACTION_ORDER[k]
+            yield state, action, self.outcomes(state, action)
+
+
+def build_transitions(params, truncation: int = 20) -> TableView:
+    return TableView(params, truncation)
 
 
 def policy_value(table, weights, actions: list[MdpAction]) -> float:

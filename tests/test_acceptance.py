@@ -18,8 +18,6 @@ from ng_incentives.mdp import (
     LastMicro,
     MdpAction,
     MdpState,
-    RewardTuple,
-    build_transitions,
     solve,
 )
 from ng_incentives.model import ProtocolParams, RewardWeights
@@ -33,6 +31,8 @@ from ng_incentives.simulator import (
 
 import json
 from pathlib import Path
+
+from oracles import RewardTuple, build_transitions
 
 FIXTURE = Path(__file__).parent / "data" / "fees_fixture.csv"
 REGIMES = ("fee", "equal", "key")

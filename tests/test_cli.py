@@ -38,6 +38,8 @@ def test_parse_grid_forms():
         parse_grid("0.3:0.1:0.1")
     with pytest.raises(ValueError):
         parse_grid("a:b:c")
+    with pytest.raises(ValueError):
+        parse_grid(",")
 
 
 def test_bounds_single_alpha(capsys):
@@ -106,6 +108,10 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         # Degenerate alpha skips the analytic bound, not the delta check.
         ["pairs", "--alpha", "1", "--m", "100", "--delta", "nan", "--trials", "10"],
         ["pairs", "--alpha", "0", "--m", "100", "--delta", "5", "--trials", "10"],
+        # A grid with no values.
+        ["mdp", "--r-grid", ","],
+        ["mdp", "--alpha-grid", ","],
+        ["revenue", "--rho-grid", ","],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):

@@ -12,16 +12,13 @@ from ng_incentives.mdp import (
     LastMicro,
     MdpAction,
     MdpState,
-    RewardTuple,
     SolverError,
-    build_transitions,
     enumerate_states,
-    scalarize,
     solve,
 )
 from ng_incentives.model import ProtocolParams, RewardWeights
 
-from oracles import policy_value, sm1_action, sm1_revenue
+from oracles import RewardTuple, build_transitions, policy_value, sm1_action, sm1_revenue
 
 ALPHA, GAMMA, R = 0.3, 0.5, 0.4
 PARAMS = ProtocolParams(alpha=ALPHA, gamma=GAMMA, split_ratio=R)
@@ -251,11 +248,15 @@ def test_csr_pattern_matches_scipy(truncation):
     assert transition.indices.dtype == transition.indptr.dtype == np.int32
 
 
-def test_scalarize_regimes():
-    reward = RewardTuple(r_h=2, t_h=3.0, r_a=1, t_a=0.5)
-    assert scalarize(reward, RewardWeights.fee_dominated()) == (0.5, 3.5)
-    assert scalarize(reward, RewardWeights.key_dominated()) == (1.0, 3.0)
-    assert scalarize(reward, RewardWeights.equal()) == (1.5, 6.5)
+def test_expected_rewards_weight_each_regime(table):
+    # override at (5, 3) past an included honest ancestor: both outcomes pay
+    # (r_h, t_h, r_a, t_a) = (0, r, 4, 3 + (1 - r)), so the row's expected
+    # (selfish, total) is key_weight * (4, 4) + fee_weight * (4 - r, 4).
+    state = MdpState(5, 3, Fork.NO_TIE, LastMicro.H_IN)
+    flat = ACTION_ORDER.index(MdpAction.OVERRIDE) * len(table.states) + table.states.index(state)
+    for regime, expected in (("fee", (4 - R, 4)), ("equal", (8 - R, 8)), ("key", (4, 4))):
+        r_self, r_total = table.expected_rewards(RewardWeights.from_regime(regime))
+        assert (r_self[flat], r_total[flat]) == pytest.approx(expected, abs=1e-12), regime
 
 
 # ------------------------------------------------------------------ solver

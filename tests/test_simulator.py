@@ -18,7 +18,6 @@ from ng_incentives.mdp import (
     MdpAction,
     MdpState,
     SolveResult,
-    build_transitions,
     enumerate_states,
     solve,
 )
@@ -37,7 +36,7 @@ from ng_incentives.simulator import (
     run,
 )
 
-from oracles import interval_reference, policy_value, sm1_action, sm1_revenue
+from oracles import build_transitions, interval_reference, policy_value, sm1_action, sm1_revenue
 
 
 def _config(strategy, alpha=0.3, r=0.4, m=200_000, seed=11, **kwargs):
