@@ -20,12 +20,12 @@ which share a key block, into the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Union
 
 import numpy as np
 
-from .concentration import PairCounts
 from .mdp import Fork, LastMicro, MdpAction, MdpState, SolveResult
 from .model import ProtocolParams, RewardWeights
 
@@ -105,25 +105,14 @@ class SimReport:
     selfish_fees: float
     honest_fees: float
     orphaned_fee_units: float
-    pair_counts: PairCounts
+    pairs_z: int  # adjacent key blocks selfish then honest
+    pairs_k: int  # adjacent key blocks honest then selfish
+    keyblocks: int
     seed: int
     boundary_visits: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "relative_revenue": self.relative_revenue,
-            "std_error": self.std_error,
-            "selfish_key_rewards": self.selfish_key_rewards,
-            "honest_key_rewards": self.honest_key_rewards,
-            "selfish_fees": self.selfish_fees,
-            "honest_fees": self.honest_fees,
-            "orphaned_fee_units": self.orphaned_fee_units,
-            "pairs_z": self.pair_counts.z,
-            "pairs_k": self.pair_counts.k,
-            "keyblocks": self.pair_counts.m,
-            "seed": self.seed,
-            "boundary_visits": self.boundary_visits,
-        }
+        return asdict(self)
 
 
 def run(config: SimConfig) -> SimReport:
@@ -235,7 +224,9 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
         selfish_fees=selfish_fees,
         honest_fees=honest_fees,
         orphaned_fee_units=orphaned,
-        pair_counts=PairCounts(z=int(count[_SH]), k=int(count[_HS]), m=m),
+        pairs_z=int(count[_SH]),
+        pairs_k=int(count[_HS]),
+        keyblocks=m,
         seed=config.seed,
     )
 
@@ -248,149 +239,154 @@ _CODES = 3
 _SELFISH, _MATCH_WIN, _HONEST = range(_CODES)
 # Ledger delta fields of one step, in this order.
 _R_A, _R_H, _T_A, _T_H, _ORPHANED = range(5)
-_NO_DELTA = (0.0, 0.0, 0.0, 0.0, 0.0)
 _CHUNK = 128  # draw codes per row of the rollout's parallel scan
+_ACTION_CODES = {action: k for k, action in enumerate(MdpAction)}
 
 
-def _show(state: MdpState) -> str:
+def _show(state) -> str:
     l_a, l_h, fork, last = state
     return f"({l_a}, {l_h}, {Fork(fork).name}, {LastMicro(last).name})"
-
-
-def _leading_unit(last: LastMicro, next_selfish: bool, r: float) -> tuple:
-    """(t_a, t_h, orphaned) shares of the old ancestor's interval when it
-    finalizes: assigned by who mined the first block after the ancestor and
-    by the microblock disposition."""
-    if last == LastMicro.H_IN:
-        return (1.0 - r, r, 0.0) if next_selfish else (0.0, 1.0, 0.0)
-    if last == LastMicro.H_EX:
-        return (0.0, 0.0, 1.0) if next_selfish else (0.0, 1.0, 0.0)
-    if last == LastMicro.S_P:
-        return (1.0, 0.0, 0.0) if next_selfish else (r, 1.0 - r, 0.0)
-    return (1.0, 0.0, 0.0) if next_selfish else (0.0, 0.0, 1.0)  # S_H
-
-
-def _finalize(n: int, selfish_owner: bool, last: LastMicro, r: float) -> tuple:
-    """Ledger delta of a stretch of n key blocks finalizing to one owner:
-    n key rewards, the n - 1 interior fee units and the leading unit."""
-    t_a, t_h, orphaned = _leading_unit(last, selfish_owner, r)
-    if selfish_owner:
-        return (float(n), 0.0, t_a + (n - 1), t_h, orphaned)
-    return (0.0, float(n), t_a, t_h + (n - 1), orphaned)
-
-
-def _step(state: MdpState, action: MdpAction, code: int, r: float) -> tuple:
-    """Chain semantics of one action: (next state, ledger delta).
-
-    Every action but REVERT mines one key block, whose draw code is code;
-    REVERT changes only the microblock disposition and ignores code.  The
-    ledger delta is (r_a, r_h, t_a, t_h, orphaned).  Raises ValueError where
-    the action does not apply in the state.
-    """
-    l_a, l_h, fork, last = state
-    selfish = code == _SELFISH
-    delta, n = _NO_DELTA, 1
-    if action == MdpAction.REVERT:
-        if fork == Fork.TIE_PRIME:
-            # Publish the matched branch's hidden trailing microblocks.
-            return MdpState(l_a, l_h, Fork.TIE, last), _NO_DELTA
-        if last == LastMicro.S_H and l_h == 0:
-            # No honest block contests the ancestor: publish its microblocks.
-            return MdpState(l_a, l_h, fork, LastMicro.S_P), _NO_DELTA
-        if last == LastMicro.H_EX and l_a == 0:
-            # No selfish block commits to the exclusion: re-accept.
-            return MdpState(l_a, l_h, fork, LastMicro.H_IN), _NO_DELTA
-        raise ValueError(f"revert has no target in state {_show(state)}")
-    if action in (MdpAction.ADOPT, MdpAction.ADOPT_E):
-        n, delta = l_h, _finalize(l_h, False, last, r)
-        landing = LastMicro.H_IN if action == MdpAction.ADOPT else LastMicro.H_EX
-        target = (1, 0) if selfish else (0, 1)
-        following = MdpState(*target, Fork.NO_TIE, landing)
-    elif action in (MdpAction.OVERRIDE, MdpAction.OVERRIDE_H):
-        n, delta = l_h + 1, _finalize(l_h + 1, True, last, r)
-        landing = LastMicro.S_P if action == MdpAction.OVERRIDE else LastMicro.S_H
-        remaining = l_a - l_h - 1
-        target = (remaining + 1, 0) if selfish else (remaining, 1)
-        following = MdpState(*target, Fork.NO_TIE, landing)
-    elif action == MdpAction.WAIT and fork == Fork.NO_TIE:
-        following = MdpState(l_a + selfish, l_h + (not selfish), fork, last)
-    elif action in (MdpAction.MATCH, MdpAction.MATCH_H, MdpAction.WAIT):
-        if action == MdpAction.MATCH:
-            tie_kind = Fork.TIE
-        elif action == MdpAction.MATCH_H:
-            tie_kind = Fork.TIE_PRIME
-        else:
-            tie_kind = fork
-        if selfish:
-            # Selfish block extends the private branch; the tie persists.
-            following = MdpState(l_a + 1, l_h, tie_kind, last)
-        elif code == _MATCH_WIN:
-            # Honest block lands on the published selfish branch: the
-            # matched l_h selfish blocks finalize.
-            n, delta = l_h, _finalize(l_h, True, last, r)
-            landing = LastMicro.S_P if tie_kind == Fork.TIE else LastMicro.S_H
-            following = MdpState(l_a - l_h, 1, Fork.NO_TIE, landing)
-        else:
-            # Honest block extends the honest branch; the tie is broken.
-            following = MdpState(l_a, l_h + 1, Fork.NO_TIE, last)
-    else:
-        raise ValueError(f"unknown action {action!r} in state {_show(state)}")
-    if n < 1 or following.l_a < 0:
-        raise ValueError(
-            f"{action.value} gives a negative chain length in state {_show(state)}"
-        )
-    return following, delta
 
 
 def _compile(result: SolveResult, r: float) -> tuple:
     """Tabulate a policy's rollout: entry _CODES * i + code stands for state
     i of result.policy followed by a key block with that draw code.
 
-    Returns the entry base _CODES * j of the next state per entry (an int32
-    array), the ledger delta per entry, the truncation boundary visits per
-    entry and the start state's entry base.  A chain of REVERTs folds into
-    the drawing step after it, which also counts the chain's boundary
-    visits.  Raises ValueError, naming the state, where
-    the policy cannot be followed.
+    Every action but REVERT mines one key block.  ADOPT settles the l_h
+    public blocks on the honest miners, OVERRIDE the l_h + 1 private blocks
+    it publishes on the selfish miner, and a race (MATCH, MATCH_H, or WAIT
+    in a tie) the l_h matched selfish blocks when an honest miner finds the
+    key block on the selfish branch.  The last settled block becomes the
+    ancestor with microblocks H_IN / S_P, or H_EX / S_H after ADOPT_E,
+    OVERRIDE_H and a race on a TIE_PRIME branch; the chains past it keep the
+    unsettled private blocks and the new key block.  A key block that
+    settles nothing extends its miner's chain; a selfish one keeps a race's
+    tie.  REVERT publishes a TIE_PRIME branch's hidden microblocks (to TIE),
+    else the ancestor's while no honest block contests it (S_H at l_h = 0,
+    to S_P), else re-accepts the excluded ones while no selfish block
+    commits to the exclusion (H_EX at l_a = 0, to H_IN).
+
+    A stretch of n key blocks settling on one owner pays it n key rewards
+    and the n - 1 interior fee units; the old ancestor's leading unit goes,
+    as (t_a, t_h, orphaned), by its microblocks and the owner:
+
+        ancestor  honest owner   selfish owner
+        H_IN      (0, 1, 0)      (1 - r, r, 0)
+        H_EX      (0, 1, 0)      (0, 0, 1)
+        S_P       (r, 1 - r, 0)  (1, 0, 0)
+        S_H       (0, 0, 1)      (1, 0, 0)
+
+    Returns per entry the entry base _CODES * j of the next state (int32),
+    the ledger delta (r_a, r_h, t_a, t_h, orphaned) and the truncation
+    boundary visits, and the start state's entry base.  Reverts fold into
+    the drawing step after them, which counts every state they pass; each
+    clears TIE_PRIME, S_H or H_EX, so two folds reach a drawing state.
+    Raises ValueError, naming the state, at the first state in policy order
+    whose chain cannot be followed.
     """
     policy = result.policy
-    index = {state: i for i, state in enumerate(policy)}
     L = result.truncation
+    actions = list(policy.values())
+    states = np.fromiter(chain.from_iterable(policy), np.int64, 4 * len(policy)).reshape(-1, 4)
+    kind = np.array([_ACTION_CODES.get(a, -1) for a in actions], np.int64)
+    own = np.arange(len(states))
 
-    def entry(source: MdpState, action: MdpAction, target: MdpState) -> int:
-        if target not in index:
-            raise ValueError(
-                f"{action.value} in state {_show(source)} leads to {_show(target)},"
-                f" a state the policy (truncation L={L}) does not cover"
-            )
-        return _CODES * index[target]
+    # Policy index over a box that holds every key and the start state;
+    # -1 marks a state the policy does not cover.
+    lo, hi = states.min(0, initial=0), states.max(0, initial=0)
+    slot = np.full(hi - lo + 1, -1)
+    slot[tuple((states - lo).T)] = own
 
-    size = _CODES * len(policy)
-    successors = np.zeros(size, np.int32)
-    deltas = np.zeros((size, len(_NO_DELTA)))
-    visits = np.zeros(size, np.int64)
-    for i, state in enumerate(policy):
-        chain = [state]
-        while policy[chain[-1]] == MdpAction.REVERT:
-            target, _ = _step(chain[-1], MdpAction.REVERT, _SELFISH, r)
-            entry(chain[-1], MdpAction.REVERT, target)
-            if target in chain:
-                raise ValueError(f"revert cycle through state {_show(target)}")
-            chain.append(target)
-        drawing, action = chain[-1], policy[chain[-1]]
-        outcomes = [_step(drawing, action, code, r) for code in range(_CODES)]
-        for e, (target, delta) in enumerate(outcomes, _CODES * i):
-            successors[e] = entry(drawing, action, target)
-            if delta is not _NO_DELTA:
-                deltas[e] = delta
-        if drawing.l_a == L or drawing.l_h == L:
-            # Reverts keep both chain lengths, so every state of the chain
-            # is on the boundary too.
-            visits[_CODES * i : _CODES * (i + 1)] = len(chain)
+    def locate(targets: np.ndarray) -> np.ndarray:
+        inside = np.all((targets >= lo) & (targets <= hi), axis=-1)
+        found = np.full(inside.shape, -1)
+        found[inside] = slot[tuple((targets[inside] - lo).T)]
+        return found
+
+    def chose(*options: MdpAction) -> np.ndarray:
+        return np.isin(kind, [_ACTION_CODES[a] for a in options])
+
+    l_a, l_h, fork, last = states.T
+    reverts = chose(MdpAction.REVERT)
+    reverted = states.copy()
+    tie_prime = fork == Fork.TIE_PRIME
+    reverted[tie_prime, 2] = Fork.TIE
+    reverted[~tie_prime & (last == LastMicro.S_H) & (l_h == 0), 3] = LastMicro.S_P
+    reverted[~tie_prime & (last == LastMicro.H_EX) & (l_a == 0), 3] = LastMicro.H_IN
+    stuck = reverts & np.all(reverted == states, axis=1)
+    revert_to = locate(reverted)
+    lost = reverts & ~stuck & (revert_to < 0)
+    fold = np.where(reverts & ~stuck & ~lost, revert_to, own)
+    drawing = fold[fold]
+
+    # One key block with each draw code from every state, as (state, code).
+    code = np.arange(_CODES)
+    selfish = code == _SELFISH
+    adopt = chose(MdpAction.ADOPT, MdpAction.ADOPT_E)
+    override = chose(MdpAction.OVERRIDE, MdpAction.OVERRIDE_H)
+    races = [chose(MdpAction.MATCH), chose(MdpAction.MATCH_H), chose(MdpAction.WAIT)]
+    tie = np.select(races, [Fork.TIE, Fork.TIE_PRIME, fork], Fork.NO_TIE)
+    won = (tie != Fork.NO_TIE)[:, None] & (code == _MATCH_WIN)
+    settles = (adopt | override)[:, None] | won
+    to_selfish = override[:, None] | won
+    n = (l_h + override)[:, None]  # length of the settled stretch
+    withheld = chose(MdpAction.ADOPT_E, MdpAction.OVERRIDE_H) | (tie == Fork.TIE_PRIME)
+    landing = np.where(
+        adopt, np.where(withheld, LastMicro.H_EX, LastMicro.H_IN),
+        np.where(withheld, LastMicro.S_H, LastMicro.S_P),
+    )
+    following = np.empty((len(states), _CODES, 4), np.int64)
+    following[..., 0] = np.where(settles, np.where(to_selfish, l_a[:, None] - n, 0), l_a[:, None])
+    following[..., 0] += selfish
+    following[..., 1] = np.where(settles, 0, l_h[:, None]) + ~selfish
+    following[..., 2] = np.where(selfish, tie[:, None], Fork.NO_TIE)
+    following[..., 3] = np.where(settles, landing[:, None], last[:, None])
+    negative = (settles & (n < 1)) | (following[..., 0] < 0)
+    target = locate(following)
+
+    # The leading unit by ancestor microblocks, then by selfish owner.
+    lead = np.array([
+        [(0.0, 1.0, 0.0), (1.0 - r, r, 0.0)],
+        [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+        [(r, 1.0 - r, 0.0), (1.0, 0.0, 0.0)],
+        [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)],
+    ])
+    delta = np.empty((len(states), _CODES, 5))
+    delta[..., _T_A:] = lead[last[:, None], to_selfish.astype(np.int64)]
+    t_a, t_h = delta[..., _T_A], delta[..., _T_H]
+    delta[..., _T_A] = np.where(to_selfish, t_a + (n - 1), t_a)
+    delta[..., _T_H] = np.where(to_selfish, t_h, t_h + (n - 1))
+    delta[..., _R_A] = np.where(to_selfish, n, 0.0)
+    delta[..., _R_H] = np.where(to_selfish, 0.0, n)
+    delta[~settles] = 0.0
+
+    mines = (kind >= 0) & ~reverts
+    failed = (~mines | negative.any(axis=1) | (target < 0).any(axis=1))[drawing]
+    if failed.any():
+        j = drawing[np.argmax(failed)]
+        state, action = _show(states[j].tolist()), actions[j]
+        if stuck[j]:
+            raise ValueError(f"revert has no target in state {state}")
+        successor = reverted[j]
+        if not lost[j]:
+            if not mines[j]:
+                raise ValueError(f"unknown action {action!r} in state {state}")
+            if negative[j].any():
+                raise ValueError(f"{action.value} gives a negative chain length in state {state}")
+            successor = following[j, np.argmax(target[j] < 0)]
+        raise ValueError(
+            f"{action.value} in state {state} leads to {_show(successor.tolist())},"
+            f" a state the policy (truncation L={L}) does not cover"
+        )
     start = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
-    if start not in index:
+    (begin,) = locate(np.array([start]))
+    if begin < 0:
         raise ValueError(f"start state {_show(start)} missing from the policy")
-    return successors, deltas, visits, _CODES * index[start]
+    passed = 1 + (fold != own) + (drawing != fold)  # states a key block passes
+    boundary = (l_a == L) | (l_h == L)
+    visits = np.repeat(np.where(boundary[drawing], passed, 0), _CODES)
+    successors = (_CODES * target[drawing]).astype(np.int32).reshape(-1)
+    return successors, delta[drawing].reshape(-1, 5), visits, _CODES * int(begin)
 
 
 def _scan(successors: np.ndarray, codes: np.ndarray, start: int, path: np.ndarray) -> int:
@@ -440,8 +436,8 @@ def _scan(successors: np.ndarray, codes: np.ndarray, start: int, path: np.ndarra
 def _run_policy(config: SimConfig) -> SimReport:
     """Chain-state rollout of a solved policy.
 
-    Applies each action's chain semantics (_step) to every state of the
-    policy once, then scans the seeded draw stream through the resulting
+    Tabulates the chain semantics of the policy's actions for every state
+    once (_compile), then scans the seeded draw stream through the resulting
     table, one slice of _SLICE key blocks at a time, with _scan.  The
     ledger is written here, independently of the solver's transition table,
     so the rollout checks the solver's reward accounting.  Totals are entry
@@ -518,7 +514,9 @@ def _run_policy(config: SimConfig) -> SimReport:
         selfish_fees=t_a,
         honest_fees=t_h,
         orphaned_fee_units=orphaned,
-        pair_counts=PairCounts(z=z, k=k, m=m),
+        pairs_z=z,
+        pairs_k=k,
+        keyblocks=m,
         seed=config.seed,
         boundary_visits=int(np.sum(counts * visits)),
     )

@@ -163,6 +163,7 @@ def interval_reference(config: SimConfig) -> SimReport:
         else 0.0
     )
 
+    pairs = count_pairs(selfish)
     return SimReport(
         relative_revenue=revenue,
         std_error=std_error,
@@ -171,6 +172,8 @@ def interval_reference(config: SimConfig) -> SimReport:
         selfish_fees=float(selfish_fees.sum()),
         honest_fees=float(honest_fees.sum()),
         orphaned_fee_units=orphaned,
-        pair_counts=count_pairs(selfish),
+        pairs_z=pairs.z,
+        pairs_k=pairs.k,
+        keyblocks=pairs.m,
         seed=config.seed,
     )

@@ -31,8 +31,8 @@ from ng_incentives.simulator import (
     _BATCHES,
     _CHUNK,
     _SLICE,
+    _compile,
     _scan,
-    _step,
     run,
 )
 
@@ -82,7 +82,7 @@ def test_fee_conservation():
     rep = run(_config(Extension(0.6), m=100_000))
     # every interval's fee mass ends up kept (split) or orphaned
     total = rep.selfish_fees + rep.honest_fees + rep.orphaned_fee_units
-    expected_intervals = rep.pair_counts.m - 1
+    expected_intervals = rep.keyblocks - 1
     # fee mass is measured in units whose mean is one per interval
     assert total == pytest.approx(expected_intervals, rel=0.02)
     assert rep.orphaned_fee_units > 0
@@ -91,7 +91,7 @@ def test_fee_conservation():
 def test_deterministic_interval_mode():
     rep = run(_config(Honest(), m=50_000, interval_mode="deterministic"))
     total = rep.selfish_fees + rep.honest_fees
-    assert total == pytest.approx(rep.pair_counts.m - 1, abs=1e-6)
+    assert total == pytest.approx(rep.keyblocks - 1, abs=1e-6)
 
 
 def test_config_validation():
@@ -105,10 +105,10 @@ def test_config_validation():
 
 def test_pair_counts_reported():
     rep = run(_config(Honest(), m=50_000))
-    assert rep.pair_counts.m == 50_000
+    assert rep.keyblocks == 50_000
     expected = 0.3 * 0.7 * (50_000 - 1)
-    assert rep.pair_counts.z == pytest.approx(expected, rel=0.05)
-    assert abs(rep.pair_counts.z - rep.pair_counts.k) <= 1
+    assert rep.pairs_z == pytest.approx(expected, rel=0.05)
+    assert abs(rep.pairs_z - rep.pairs_k) <= 1
 
 
 def test_revenue_is_scalarized_ratio():
@@ -281,15 +281,45 @@ def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
             "wait in state (3, 1, NO_TIE, H_IN) leads to (4, 1, NO_TIE, H_IN)",
         ),
         (_state(1, 0), None, "wait in state (0, 0, NO_TIE, H_IN) leads to (1, 0, NO_TIE, H_IN)"),
+        (_state(0, 0), None, "start state (0, 0, NO_TIE, H_IN) missing from the policy"),
+        (
+            {_state(2, 1, Fork.TIE_PRIME): MdpAction.REVERT, _state(2, 1, Fork.TIE): None},
+            None,
+            "revert in state (2, 1, TIE_PRIME, H_IN) leads to (2, 1, TIE, H_IN), a state"
+            " the policy (truncation L=3) does not cover",
+        ),
+        (
+            {
+                _state(2, 1, Fork.TIE_PRIME): MdpAction.REVERT,
+                _state(2, 1, Fork.TIE): MdpAction.REVERT,
+            },
+            None,
+            "revert has no target in state (2, 1, TIE, H_IN)",
+        ),
+        (_state(1, 0), "wait", "unknown action 'wait' in state (1, 0, NO_TIE, H_IN)"),
+        (
+            _state(2, 1, last=LastMicro.S_H),
+            MdpAction.REVERT,
+            "revert has no target in state (2, 1, NO_TIE, S_H)",
+        ),
+        (
+            # A key outside the truncation's states must not alias one inside.
+            {_state(3, 2): MdpAction.WAIT, _state(-1, 2): MdpAction.ADOPT},
+            None,
+            "wait in state (3, 2, NO_TIE, H_IN) leads to (4, 2, NO_TIE, H_IN), a state"
+            " the policy (truncation L=3) does not cover",
+        ),
     ],
 )
 def test_policy_rollout_rejects_inapplicable_action(state, action, message):
-    # Every state is checked, reachable or not; None drops the state.
+    # Every state is checked, reachable or not.  state is one state set to
+    # action or a dict of such edits; None drops the state.
     policy = _honest_policy(3)
-    if action is None:
-        del policy[state]
-    else:
-        policy[state] = action
+    for edited, choice in (state if isinstance(state, dict) else {state: action}).items():
+        if choice is None:
+            del policy[edited]
+        else:
+            policy[edited] = choice
     params = ProtocolParams(alpha=0.3)
     config = SimConfig(params, MdpPolicy(_hand_built(policy, params, 3)), 1_000, seed=4)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -338,33 +368,28 @@ def test_policy_rollout_conserves_fee_units(
     fees = rep.selfish_fees + rep.honest_fees + rep.orphaned_fee_units
     assert fees == pytest.approx(keys, rel=1e-12, abs=0.0)
     assert keys <= m
-    assert abs(rep.pair_counts.z - rep.pair_counts.k) <= 1
+    assert abs(rep.pairs_z - rep.pairs_k) <= 1
 
 
 def _step_by_step(config: SimConfig) -> tuple:
-    """Reference rollout: one _step per action, reverts included, one draw
-    per key block.  Returns (ledger totals, boundary visits, z, k, the
-    batch-means standard error of the revenue ratio)."""
+    """Reference rollout: the compiled table walked one key block at a time,
+    one draw per key block.  Returns (ledger totals, boundary visits, z, k,
+    the batch-means standard error of the revenue ratio)."""
     result, p, m = config.strategy.result, config.params, config.horizon_keyblocks
+    successors, deltas, entry_visits, base = _compile(result, p.split_ratio)
     weights = config.effective_weights()
     kw, fw = weights.key_weight, weights.fee_weight
     size = max(1, m // _BATCHES)
     batches = np.zeros((len(range(0, m, size)), 2))
     draws = np.random.default_rng(config.seed).random(m)
-    state = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
     ledger, visits, z, k, prev = np.zeros(5), 0, 0, 0, False
     for t, u in enumerate(draws.tolist()):
-        while True:
-            visits += max(state.l_a, state.l_h) == result.truncation
-            if result.policy[state] != MdpAction.REVERT:
-                break
-            state, _ = _step(state, MdpAction.REVERT, 0, p.split_ratio)
         selfish = u < p.alpha
         code = 0 if selfish else 1 if u < p.alpha + p.gamma * (1 - p.alpha) else 2
         z, k, prev = z + (prev and not selfish), k + (selfish and not prev), selfish
-        state, (r_a, r_h, t_a, t_h, orphaned) = _step(
-            state, result.policy[state], code, p.split_ratio
-        )
+        entry = base + code
+        base, visits = int(successors[entry]), visits + int(entry_visits[entry])
+        r_a, r_h, t_a, t_h, orphaned = deltas[entry].tolist()
         ledger += (r_a, r_h, t_a, t_h, orphaned)
         own = kw * r_a + fw * t_a
         batches[t // size] += (own, own + kw * r_h + fw * t_h)
@@ -400,10 +425,10 @@ def test_random_policy_rollout_matches_exact_value_and_reference(truncation, pol
     actions = [result.policy[s] for s in table.states]
     exact = policy_value(table, result.weights, actions)
     assert abs(rep.relative_revenue - exact) < 4 * rep.std_error
-    # Stepping the same draws one action at a time gives the same ledger.
+    # Walking the compiled table one key block at a time gives the same ledger.
     ledger, visits, z, k, _ = _step_by_step(config)
     assert (rep.selfish_key_rewards, rep.honest_key_rewards) == tuple(ledger[:2])
-    assert (rep.pair_counts.z, rep.pair_counts.k, rep.boundary_visits) == (z, k, visits)
+    assert (rep.pairs_z, rep.pairs_k, rep.boundary_visits) == (z, k, visits)
     fees = (rep.selfish_fees, rep.honest_fees, rep.orphaned_fee_units)
     assert fees == pytest.approx(tuple(ledger[2:]), rel=1e-12, abs=0.0)
 
@@ -426,8 +451,8 @@ def test_policy_rollout_scan_matches_reference_at_edges(
     rep = run(config)
     ledger, visits, z, k, se = _step_by_step(config)
     assert (rep.selfish_key_rewards, rep.honest_key_rewards) == tuple(ledger[:2])
-    assert (rep.pair_counts.z, rep.pair_counts.k, rep.boundary_visits) == (z, k, visits)
-    assert rep.pair_counts.m == m
+    assert (rep.pairs_z, rep.pairs_k, rep.boundary_visits) == (z, k, visits)
+    assert rep.keyblocks == m
     floats = (rep.selfish_fees, rep.honest_fees, rep.orphaned_fee_units, rep.std_error)
     assert floats == pytest.approx((*ledger[2:], se), rel=1e-12, abs=0.0)
     w = config.effective_weights()
@@ -459,17 +484,42 @@ def test_scan_is_exact_when_paths_never_merge():
 
 def test_chain_rules_agree_with_solver_table():
     # The simulator's chain rules and the solver's transition table are
-    # written independently; every available (state, action) pair must give
-    # the same successors and rewards.  Outcomes are listed selfish block
-    # first; a race lists the match success before the broken tie.
+    # written independently; every compiled entry must give the successor
+    # and rewards of its (state, action) pair in the table.  Each policy
+    # takes one action wherever it is available.  Outcomes are listed
+    # selfish block first; a race lists the match success before the broken
+    # tie.  A revert folds into its target's entries.
     params = ProtocolParams(alpha=0.3, gamma=0.4, split_ratio=0.7)
-    table = build_transitions(params, truncation=6)
     codes_by_count = {1: [[0, 1, 2]], 2: [[0], [1, 2]], 3: [[0], [1], [2]]}
-    for state, action, outcomes in table.items():
-        for outcome, codes in zip(outcomes, codes_by_count[len(outcomes)]):
-            for code in codes:
-                target, (r_a, r_h, t_a, t_h, orphaned) = _step(state, action, code, 0.7)
-                assert target == outcome.next_state, (state, action, code)
-                got = (r_h, t_h, r_a, t_a)
-                assert got == pytest.approx(tuple(outcome.reward), abs=1e-12), (state, action)
-                assert r_a + r_h == pytest.approx(t_a + t_h + orphaned, abs=1e-12)
+    for truncation in (2, 4, 6):
+        table = build_transitions(params, truncation)
+        for preferred in MdpAction:
+            policy = {
+                s: preferred if preferred in table.actions(s) else table.actions(s)[0]
+                for s in table.states
+            }
+            result = _hand_built(policy, params, truncation)
+            successors, deltas, visits, _ = _compile(result, 0.7)
+            for i, (state, action) in enumerate(policy.items()):
+                entries = slice(3 * i, 3 * i + 3)
+                on_boundary = truncation in (state.l_a, state.l_h)
+                if action == MdpAction.REVERT:
+                    (outcome,) = table.outcomes(state, action)
+                    assert tuple(outcome.reward) == (0.0, 0.0, 0.0, 0.0), state
+                    j = table.state_index[outcome.next_state]
+                    target = slice(3 * j, 3 * j + 3)
+                    assert (successors[entries] == successors[target]).all(), state
+                    assert (deltas[entries] == deltas[target]).all(), state
+                    assert (visits[entries] == 2 * on_boundary).all(), state
+                    continue
+                assert (visits[entries] == on_boundary).all(), state
+                outcomes = table.outcomes(state, action)
+                for outcome, codes in zip(outcomes, codes_by_count[len(outcomes)]):
+                    for code in codes:
+                        e = 3 * i + code
+                        target = table.states[successors[e] // 3]
+                        r_a, r_h, t_a, t_h, orphaned = deltas[e].tolist()
+                        assert target == outcome.next_state, (state, action, code)
+                        got = (r_h, t_h, r_a, t_a)
+                        assert got == pytest.approx(tuple(outcome.reward), abs=1e-12), (state, action)
+                        assert r_a + r_h == pytest.approx(t_a + t_h + orphaned, abs=1e-12)
