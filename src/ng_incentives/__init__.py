@@ -34,9 +34,6 @@ from .model import (
     ParameterError,
     ProtocolParams,
     RewardWeights,
-    load_config,
-    params_from_config,
-    parse_config_text,
 )
 from .simulator import (
     Extension,
@@ -76,9 +73,6 @@ __all__ = [
     "ParameterError",
     "ProtocolParams",
     "RewardWeights",
-    "load_config",
-    "params_from_config",
-    "parse_config_text",
     "Extension",
     "Honest",
     "Inclusion",

@@ -16,14 +16,7 @@ from pathlib import Path
 
 from . import __version__, closedform, concentration, feescan
 from .mdp import SolverError, build_transitions, solve
-from .model import (
-    REGIMES,
-    ParameterError,
-    ProtocolParams,
-    RewardWeights,
-    load_config,
-    params_from_config,
-)
+from .model import REGIMES, ParameterError, ProtocolParams, RewardWeights
 from .simulator import (
     INTERVAL_MODES,
     Extension,
@@ -105,19 +98,9 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def _base_params(args) -> ProtocolParams:
-    base = ProtocolParams()
-    if args.config:
-        base = params_from_config(load_config(args.config), base)
-    overrides = {}
-    for flag, field in (
-        ("alpha", "alpha"),
-        ("gamma", "gamma"),
-        ("r", "split_ratio"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return params_from_config(overrides, base)
+    # revenue has no --gamma flag.
+    given = dict(alpha=args.alpha, gamma=getattr(args, "gamma", None), split_ratio=args.r)
+    return ProtocolParams(**{k: v for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------- subcommands
@@ -219,7 +202,7 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         strategy = Extension(args.rho)
     else:  # mdpPolicy
         table = build_transitions(params, args.L)
-        result = solve(table, weights or RewardWeights.fee_dominated())
+        result = solve(table, weights or RewardWeights.from_regime("fee"))
         strategy = MdpPolicy(result)
     config = SimConfig(
         params=params,
@@ -311,11 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, config: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=Path, default=None, help="write output to file")
-        if config:
-            p.add_argument("--config", type=Path, default=None, help="flat key=value file")
 
     p = sub.add_parser("bounds", help="split-ratio bounds over an alpha grid")
     p.add_argument("--alpha", type=float, default=None)
@@ -337,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--attack", choices=("inclusion", "extension", "both"), default="both"
     )
-    common(p, config=True)
+    common(p)
     p.set_defaults(func=cmd_revenue)
 
     p = sub.add_parser("mdp", help="optimal selfish-mining revenue over a grid")
@@ -355,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; default all three",
     )
     p.add_argument("--L", type=int, default=20, help="chain-length truncation")
-    common(p, config=True)
+    common(p)
     p.set_defaults(func=cmd_mdp)
 
     p = sub.add_parser("simulate", help="Monte Carlo mining simulation")
@@ -379,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--regime", choices=REGIMES, default=None)
     p.add_argument("--L", type=int, default=20)
-    common(p, config=True)
+    common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pairs", help="pair-count concentration: empirical vs bound")

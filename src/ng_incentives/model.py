@@ -6,8 +6,7 @@ invariant so downstream code never sees an out-of-range parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 
 class ParameterError(ValueError):
@@ -41,8 +40,9 @@ class ProtocolParams:
         _require(0.0 <= self.split_ratio <= 1.0, "split_ratio out of [0,1]")
 
 
-# Reward regimes by name; RewardWeights.from_regime maps each to its weights.
-REGIMES = ("fee", "equal", "key")
+# Reward regimes by name, as (key_weight, fee_weight).
+_REGIME_WEIGHTS = {"fee": (0.0, 1.0), "equal": (1.0, 1.0), "key": (1.0, 0.0)}
+REGIMES = tuple(_REGIME_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class RewardWeights:
 
     key_weight multiplies key-block reward counts; fee_weight multiplies fee
     units (one unit = total fees of the microblocks in one key-block
-    interval).  The three evaluation regimes are exact weight pairs:
-    fee-dominated (0, 1), equal (1, 1), key-dominated (1, 0).
+    interval).  from_regime gives the exact pair of each evaluation regime
+    in REGIMES.
     """
 
     key_weight: float
@@ -66,65 +66,8 @@ class RewardWeights:
         _require(self.key_weight + self.fee_weight > 0.0, "weights cannot both be zero")
 
     @classmethod
-    def fee_dominated(cls) -> "RewardWeights":
-        return cls(0.0, 1.0)
-
-    @classmethod
-    def equal(cls) -> "RewardWeights":
-        return cls(1.0, 1.0)
-
-    @classmethod
-    def key_dominated(cls) -> "RewardWeights":
-        return cls(1.0, 0.0)
-
-    @classmethod
     def from_regime(cls, name: str) -> "RewardWeights":
         try:
-            return {
-                "fee": cls.fee_dominated(),
-                "equal": cls.equal(),
-                "key": cls.key_dominated(),
-            }[name]
+            return cls(*_REGIME_WEIGHTS[name])
         except KeyError:
             raise ParameterError(f"unknown reward regime {name!r}") from None
-
-
-_PARAM_FIELDS = {f.name for f in fields(ProtocolParams)}
-_ALIASES = {"r": "split_ratio"}
-
-
-def parse_config_text(text: str) -> dict[str, float]:
-    """Parse a flat ``name = value`` config into a field dict.
-
-    Lines starting with '#' and blank lines are skipped.  The short alias r
-    maps to split_ratio.
-    """
-    out: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParameterError(f"config line {lineno}: expected 'name = value'")
-        name, _, value = line.partition("=")
-        name = _ALIASES.get(name.strip(), name.strip())
-        if name not in _PARAM_FIELDS:
-            raise ParameterError(f"config line {lineno}: unknown parameter {name!r}")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise ParameterError(
-                f"config line {lineno}: non-numeric value for {name!r}"
-            ) from None
-    return out
-
-
-def load_config(path: str | Path) -> dict[str, float]:
-    return parse_config_text(Path(path).read_text())
-
-
-def params_from_config(
-    config: dict[str, float], base: ProtocolParams | None = None
-) -> ProtocolParams:
-    base = base if base is not None else ProtocolParams()
-    return replace(base, **config)

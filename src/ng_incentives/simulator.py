@@ -93,7 +93,7 @@ class SimConfig:
             return self.weights
         if isinstance(self.strategy, MdpPolicy):
             return self.strategy.result.weights
-        return RewardWeights.fee_dominated()
+        return RewardWeights.from_regime("fee")
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def _compile(result: SolveResult, r: float) -> tuple:
     policy = result.policy
     L = result.truncation
     actions = list(policy.values())
-    states = np.fromiter(chain.from_iterable(policy), np.int64, 4 * len(policy)).reshape(-1, 4)
+    states = np.fromiter(chain.from_iterable(policy), np.int32, 4 * len(policy)).reshape(-1, 4)
     kind = np.array([_ACTION_CODES.get(a, -1) for a in actions], np.int64)
     own = np.arange(len(states))
 
@@ -335,7 +335,7 @@ def _compile(result: SolveResult, r: float) -> tuple:
         adopt, np.where(withheld, LastMicro.H_EX, LastMicro.H_IN),
         np.where(withheld, LastMicro.S_H, LastMicro.S_P),
     )
-    following = np.empty((len(states), _CODES, 4), np.int64)
+    following = np.empty((len(states), _CODES, 4), np.int32)
     following[..., 0] = np.where(settles, np.where(to_selfish, l_a[:, None] - n, 0), l_a[:, None])
     following[..., 0] += selfish
     following[..., 1] = np.where(settles, 0, l_h[:, None]) + ~selfish

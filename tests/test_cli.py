@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,10 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["mdp", "--r-grid", ","],
         ["mdp", "--alpha-grid", ","],
         ["revenue", "--rho-grid", ","],
+        # Parameters come from flags only.
+        ["revenue", "--config", "CONFIG", "--rho", "1", "--attack", "inclusion"],
+        ["mdp", "--config", "CONFIG", "--regime", "fee", "--L", "4"],
+        ["simulate", "--strategy", "honest", "--config", "CONFIG"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -310,25 +315,14 @@ def test_out_flag_unwritable_path_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_config_file_supplies_defaults(tmp_path, capsys):
-    cfg = tmp_path / "params.cfg"
-    cfg.write_text("alpha = 0.3\nr = 0.2\n")
-    code, out, _ = _run(
-        capsys, "revenue", "--config", str(cfg), "--rho", "1", "--attack", "inclusion"
-    )
-    assert code == 0
-    (row,) = _json_payload(out)
-    assert row["alpha"] == 0.3 and row["r"] == 0.2
-    assert row["revenue"] == pytest.approx(0.3265822784810127)
-
-
-def test_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "params.cfg"
-    cfg.write_text("alpha = 0.3\n")
-    code, out, _ = _run(
-        capsys, "revenue", "--config", str(cfg), "--alpha", "0.1",
-        "--rho", "0", "--attack", "inclusion",
-    )
-    assert code == 0
-    (row,) = _json_payload(out)
-    assert row["alpha"] == 0.1
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    ns: dict = {}
+    exec(block, ns)
+    interval = ns["feasible_interval"](0.25, "whale")
+    assert (round(interval.lower, 4), round(interval.upper, 4)) == (0.3684, 0.4286)
+    assert ns["inclusion_attack_revenue"](0.3, 0.2, 1.0) == pytest.approx(0.3265822784810127)
+    result, report = ns["result"], ns["report"]
+    assert result.revenue == pytest.approx(0.3399, abs=5e-5)
+    assert abs(report.relative_revenue - result.revenue) <= 4 * report.std_error

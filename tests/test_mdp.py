@@ -275,7 +275,7 @@ def test_revenue_never_below_fair_share_and_monotone_in_alpha():
     for alpha in (0.15, 0.3, 0.42):
         params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=0.4)
         table = build_transitions(params, truncation=12)
-        result = solve(table, RewardWeights.fee_dominated())
+        result = solve(table, RewardWeights.from_regime("fee"))
         assert result.revenue >= alpha - 1e-4
         revenues.append(result.revenue)
     assert revenues == sorted(revenues)
@@ -283,8 +283,8 @@ def test_revenue_never_below_fair_share_and_monotone_in_alpha():
 
 def test_truncation_sweep_is_stable():
     params = ProtocolParams(alpha=0.3, gamma=0.5, split_ratio=0.4)
-    small = solve(build_transitions(params, 16), RewardWeights.fee_dominated())
-    large = solve(build_transitions(params, 24), RewardWeights.fee_dominated())
+    small = solve(build_transitions(params, 16), RewardWeights.from_regime("fee"))
+    large = solve(build_transitions(params, 24), RewardWeights.from_regime("fee"))
     assert abs(small.revenue - large.revenue) < 1e-3
 
 
@@ -292,13 +292,13 @@ def test_tables_at_one_truncation_do_not_share_filled_values():
     # Tables with the same truncation share one cached skeleton; filling in a
     # second parameter point must leave the first table untouched.
     first = build_transitions(PARAMS, truncation=8)
-    weights = RewardWeights.fee_dominated()
+    weights = RewardWeights.from_regime("fee")
     revenue = solve(first, weights).revenue
     state = MdpState(5, 3, Fork.NO_TIE, LastMicro.H_IN)
     row = _rows(first.outcomes(state, MdpAction.MATCH))
 
     other = ProtocolParams(alpha=0.42, gamma=0.9, split_ratio=0.75)
-    solve(build_transitions(other, truncation=8), RewardWeights.equal())
+    solve(build_transitions(other, truncation=8), RewardWeights.from_regime("equal"))
 
     assert _rows(first.outcomes(state, MdpAction.MATCH)) == row
     assert row[1] == (
@@ -316,7 +316,7 @@ def test_solver_error_carries_iteration_state(monkeypatch, capsys):
         with monkeypatch.context() as patch:
             patch.setattr(mdp, cap, 1)
             with pytest.raises(SolverError) as info:
-                solve(build_transitions(params, 4), RewardWeights.equal())
+                solve(build_transitions(params, 4), RewardWeights.from_regime("equal"))
             assert info.value.iterations == 1
             assert info.value.span > 0.0
             assert "iterations=1" in str(info.value)
@@ -337,7 +337,7 @@ def test_sm1_policy_value_matches_eyal_sirer_closed_form(alpha):
     closed = sm1_revenue(alpha, gamma)
     params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=0.4)
     table = build_transitions(params, truncation=20)
-    weights = RewardWeights.key_dominated()
+    weights = RewardWeights.from_regime("key")
     actions = [sm1_action(table, s) for s in table.states]
     sm1 = policy_value(table, weights, actions)
     assert sm1 == pytest.approx(closed, abs=1e-4)
@@ -387,7 +387,7 @@ def test_boundary_mass_falls_as_truncation_grows():
     # whether L was large enough; at alpha = 0.4 it must fall with L.
     params = ProtocolParams(alpha=0.4, gamma=0.5, split_ratio=0.4)
     results = [
-        solve(build_transitions(params, L), RewardWeights.fee_dominated()) for L in (8, 12, 20)
+        solve(build_transitions(params, L), RewardWeights.from_regime("fee")) for L in (8, 12, 20)
     ]
     masses = [result.boundary_mass for result in results]
     assert 0.0 < masses[2] < masses[1] < masses[0] < 1.0

@@ -2,13 +2,7 @@ import math
 
 import pytest
 
-from ng_incentives.model import (
-    ParameterError,
-    ProtocolParams,
-    RewardWeights,
-    params_from_config,
-    parse_config_text,
-)
+from ng_incentives.model import ParameterError, ProtocolParams, RewardWeights
 
 
 def test_defaults_are_valid():
@@ -53,24 +47,3 @@ def test_regime_weights_exact():
         with pytest.raises(ParameterError, match="must be finite"):
             RewardWeights(key, fee)
 
-
-def test_parse_config_text_with_aliases_and_comments():
-    cfg = parse_config_text(
-        """
-        # protocol setup
-        alpha = 0.25
-        r = 0.4
-        gamma = 0.7
-        """
-    )
-    assert cfg == {"alpha": 0.25, "split_ratio": 0.4, "gamma": 0.7}
-    p = params_from_config(cfg)
-    assert p.alpha == 0.25 and p.split_ratio == 0.4
-
-
-@pytest.mark.parametrize(
-    "text", ["alpha 0.2", "nonsense = 1", "alpha = not_a_number", "key_rate = 0.01"]
-)
-def test_parse_config_text_errors(text):
-    with pytest.raises(ParameterError):
-        parse_config_text(text)

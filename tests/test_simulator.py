@@ -132,7 +132,7 @@ def test_interval_report_matches_per_interval_reference(m, interval_mode):
     # Summation order differs, so float fields get a tolerance; std_error is
     # exactly 0 in some configurations.
     strategies = [Honest(), Inclusion(0.5), Inclusion(1.0), Extension(0.5), Extension(1.0)]
-    weights = [None, RewardWeights.equal(), RewardWeights.key_dominated()]
+    weights = [None, RewardWeights.from_regime("equal"), RewardWeights.from_regime("key")]
     grid = itertools.product(strategies, weights, [0.0, 0.3, 1.0], [0.0, 0.4, 1.0])
     for strategy, w, alpha, r in grid:
         params = ProtocolParams(alpha=alpha, split_ratio=r)
@@ -173,7 +173,7 @@ def test_interval_memory_is_bounded():
 def solved():
     params = ProtocolParams(alpha=0.35, gamma=0.5, split_ratio=0.4)
     table = build_transitions(params, truncation=12)
-    return params, solve(table, RewardWeights.fee_dominated())
+    return params, solve(table, RewardWeights.from_regime("fee"))
 
 
 def test_policy_rollout_tracks_solver(solved):
@@ -189,7 +189,7 @@ def test_policy_rollout_tracks_solver(solved):
 def test_policy_rollout_std_error_is_calibrated():
     # The spread of the rollout over seeds against its mean reported se.
     params = ProtocolParams(alpha=0.3, gamma=0.5, split_ratio=0.4)
-    result = solve(build_transitions(params, truncation=12), RewardWeights.fee_dominated())
+    result = solve(build_transitions(params, truncation=12), RewardWeights.from_regime("fee"))
     reports = [run(SimConfig(params, MdpPolicy(result), 100_000, seed)) for seed in range(60)]
     spread = np.std([rep.relative_revenue for rep in reports], ddof=1)
     assert 0.75 <= spread / np.mean([rep.std_error for rep in reports]) <= 1.3
@@ -205,8 +205,8 @@ def test_policy_rollout_uses_policy_weights_by_default(solved):
     params, result = solved
     config = SimConfig(params, MdpPolicy(result), 10_000, seed=2)
     assert config.effective_weights() == result.weights
-    fee_only = dataclasses.replace(config, weights=RewardWeights.fee_dominated())
-    assert fee_only.effective_weights() == RewardWeights.fee_dominated()
+    fee_only = dataclasses.replace(config, weights=RewardWeights.from_regime("fee"))
+    assert fee_only.effective_weights() == RewardWeights.from_regime("fee")
 
 
 def test_policy_rollout_rejects_other_params(solved):
@@ -226,7 +226,7 @@ def _honest_policy(truncation: int) -> dict:
 
 
 def _hand_built(
-    policy: dict, params: ProtocolParams, truncation: int, weights=RewardWeights.key_dominated()
+    policy: dict, params: ProtocolParams, truncation: int, weights=RewardWeights.from_regime("key")
 ) -> SolveResult:
     return SolveResult(
         revenue=params.alpha,
@@ -412,7 +412,7 @@ def _random_policy(truncation: int, policy_seed: int, m: int) -> tuple:
     table = build_transitions(params, truncation)
     pick = random.Random(policy_seed).choice
     policy = {s: pick(table.actions(s)) for s in table.states}
-    result = _hand_built(policy, params, truncation, RewardWeights.fee_dominated())
+    result = _hand_built(policy, params, truncation, RewardWeights.from_regime("fee"))
     return table, SimConfig(params, MdpPolicy(result), m, seed=5)
 
 
