@@ -1,15 +1,17 @@
 """Reference values for checking the solver and the simulator: a
 per-state view of the transition table's arrays, the exact long-run revenue
-of a fixed policy, Eyal-Sirer SM1 selfish mining ("Majority is not Enough",
-arXiv:1311.0243) as a fixed MDP policy with its closed-form relative
-revenue, and the interval simulation computed one interval at a time."""
+of a fixed policy and the number of closed classes of its chain, the
+optimal gain of a reward by plain relative value iteration, Eyal-Sirer SM1
+selfish mining ("Majority is not Enough", arXiv:1311.0243) as a fixed MDP
+policy with its closed-form relative revenue, and the interval simulation
+computed one interval at a time."""
 import math
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import spsolve
 
 from ng_incentives.concentration import count_pairs
@@ -89,6 +91,40 @@ def policy_value(table, weights, actions: list[MdpAction]) -> float:
     pi = spsolve(system.tocsc(), rhs)
     r_self, r_total = (r[rows][reached] for r in table.expected_rewards(weights))
     return float(pi @ r_self) / float(pi @ r_total)
+
+
+def closed_classes(table, actions: list[MdpAction]) -> int:
+    """Number of closed communicating classes of a fixed policy's chain,
+    one action per state in table.states order, among the states it reaches
+    from the start state table.states[0].  A unichain policy has one."""
+    n = len(table.states)
+    chain = table.transition[[ACTION_ORDER.index(a) * n + i for i, a in enumerate(actions)]]
+    # gamma = 0 or 1 stores zero-probability outcomes, which are not edges.
+    chain.eliminate_zeros()
+    reached = breadth_first_order(chain, 0, return_predecessors=False)
+    chain = chain[reached][:, reached].tocoo()
+    count, label = connected_components(chain, directed=True, connection="strong")
+    leaving = label[chain.row] != label[chain.col]
+    return count - len(np.unique(label[chain.row[leaving]]))
+
+
+def optimal_gain(table, reward: np.ndarray) -> float:
+    """Optimal long-run average of a reward given on every flat row, by
+    relative value iteration on the lazy chain (P + I) / 2, which keeps the
+    optimal gain and has no periodic policy.  Rows with an empty transition
+    row are unavailable.  The gain lies within the last sweep's span of the
+    estimate, and the iteration stops when that span is below 1e-11."""
+    n = len(table.states)
+    reward = np.where(np.diff(table.transition.indptr) > 0, reward, -np.inf)
+    v = np.zeros(n)
+    for _ in range(1_000_000):
+        best = (reward + table.transition @ v).reshape(-1, n).max(axis=0)
+        diff = (best - v) / 2.0
+        v = v + diff
+        v -= v[0]
+        if diff.max() - diff.min() < 1e-11:
+            return float(diff.max() + diff.min())
+    raise RuntimeError("reference value iteration did not converge")
 
 
 def sm1_action(table, state: MdpState) -> MdpAction:

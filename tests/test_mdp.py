@@ -18,7 +18,15 @@ from ng_incentives.mdp import (
 )
 from ng_incentives.model import ProtocolParams, RewardWeights
 
-from oracles import RewardTuple, build_transitions, policy_value, sm1_action, sm1_revenue
+from oracles import (
+    RewardTuple,
+    build_transitions,
+    closed_classes,
+    optimal_gain,
+    policy_value,
+    sm1_action,
+    sm1_revenue,
+)
 
 ALPHA, GAMMA, R = 0.3, 0.5, 0.4
 PARAMS = ProtocolParams(alpha=ALPHA, gamma=GAMMA, split_ratio=R)
@@ -357,6 +365,43 @@ def test_revenue_is_the_exact_value_of_the_returned_policy(alpha, r, regime):
     result = solve(table, weights)
     exact = policy_value(table, weights, [result.policy[s] for s in table.states])
     assert abs(result.revenue - exact) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "alpha, gamma, r, regime",
+    [
+        (0.2321, 0.5, 0.1, "fee"),
+        (0.2321, 0.5, 0.5, "equal"),
+        (0.3, 0.5, 0.4, "key"),
+        (0.4, 1.0, 0.4, "fee"),
+        (0.4, 1.0, 0.4, "key"),
+        (0.45, 0.5, 0.4, "fee"),
+        (0.45, 0.0, 0.4, "key"),
+    ],
+)
+def test_no_policy_beats_the_returned_revenue(alpha, gamma, r, regime):
+    # No policy earns more than revenue exactly when the optimal gain of
+    # r_self - revenue * r_total is at most 0; the reference value iteration
+    # runs no policy sweeps and has its own damping and tolerance.
+    params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=r)
+    table = build_transitions(params, truncation=20)
+    weights = RewardWeights.from_regime(regime)
+    result = solve(table, weights)
+    r_self, r_total = table.expected_rewards(weights)
+    assert abs(optimal_gain(table, r_self - result.revenue * r_total)) <= mdp._EPS_INNER
+
+
+@pytest.mark.parametrize("regime", ["fee", "key"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", [0.1, 0.2321, 0.4])
+def test_returned_policy_is_unichain(alpha, gamma, regime):
+    # The policy sweeps iterate the greedy policy's chain, and revenue is the
+    # ratio from its one stationary distribution: both need a single closed
+    # class reachable from the start state.
+    params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=0.4)
+    table = build_transitions(params, truncation=20)
+    result = solve(table, RewardWeights.from_regime(regime))
+    assert closed_classes(table, [result.policy[s] for s in table.states]) == 1
 
 
 @pytest.mark.parametrize(
