@@ -193,7 +193,7 @@ def cmd_mdp(args) -> tuple[dict, list[dict]]:
 
 def cmd_simulate(args) -> tuple[dict, list[dict]]:
     params = _base_params(args)
-    weights = RewardWeights.from_regime(args.regime) if args.regime else None
+    weights = RewardWeights.from_regime(args.regime)
     if args.strategy == "honest":
         strategy = Honest()
     elif args.strategy == "inclusion":
@@ -202,7 +202,7 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         strategy = Extension(args.rho)
     else:  # mdpPolicy
         table = build_transitions(params, args.L)
-        result = solve(table, weights or RewardWeights.from_regime("fee"))
+        result = solve(table, weights)
         strategy = MdpPolicy(result)
     config = SimConfig(
         params=params,
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="interval lengths for honest/inclusion/extension; the mdpPolicy "
         "rollout counts one fee unit per interval and ignores this",
     )
-    p.add_argument("--regime", choices=REGIMES, default=None)
+    p.add_argument("--regime", choices=REGIMES, default="fee", help="default: %(default)s")
     p.add_argument("--L", type=int, default=20)
     common(p)
     p.set_defaults(func=cmd_simulate)

@@ -39,14 +39,15 @@ transition matrix is built, so analyses that never build an MDP table
 
 The optimal relative revenue solves a ratio objective by Dinkelbach
 iteration: relative value iteration maximizes the long-run average of
-(selfish reward - w * total reward), and the greedy policy's exact ratio,
-from the stationary distribution of its chain, becomes the next w.  The
-value iteration is modified policy iteration (Puterman and Shin,
-Management Science 1978): each full Bellman sweep that fails the span test
-is followed by a fixed number of sweeps of the greedy policy's own chain,
-which has about a quarter of the nonzeros.  Only a full sweep ends it, and its span
-test bounds the optimal gain whatever values it starts from, so the policy
-sweeps save full sweeps without loosening the gain's error bound.
+(selfish reward - w * total reward), and the exact ratio of the policy
+greedy in its last full sweep, from the stationary distribution of its
+chain, becomes the next w.  The value iteration is modified policy
+iteration (Puterman and Shin, Management Science 1978): each full Bellman
+sweep that fails the span test is followed by a fixed number of sweeps of
+the greedy policy's own chain, which has about a quarter of the nonzeros.
+Only a full sweep ends it, and its span test bounds the optimal gain
+whatever values it starts from, so the policy sweeps save full sweeps
+without loosening the gain's error bound.
 """
 from __future__ import annotations
 
@@ -282,11 +283,12 @@ class TransitionTable:
     """
 
     def __init__(self, params: ProtocolParams, truncation: int):
+        # The table grows as L^2: L = 100 takes 3-4 s and 230 MB to build.
+        if not 2 <= truncation <= 100:
+            raise ValueError("truncation must be between 2 and 100")
         # Deferred so that importing the package does not load scipy.
         from scipy import sparse
 
-        if truncation < 2:
-            raise ValueError("truncation must be at least 2")
         skeleton = _skeleton(truncation)
         self.params = params
         self.truncation = truncation
@@ -330,10 +332,10 @@ def build_transitions(params: ProtocolParams, truncation: int = 20) -> Transitio
 @dataclass(frozen=True)
 class SolveResult:
     """The solved policy and its exact revenue, with solver diagnostics:
-    Dinkelbach steps; full value iteration sweeps, policy sweeps between
-    them and policy evaluation iterations, each summed over the steps; and
-    the returned policy's stationary mass on the truncation boundary
-    (l_a == L or l_h == L), which is small when L is large enough."""
+    Dinkelbach steps; full value iteration sweeps and policy evaluation
+    iterations, each summed over the steps; and the returned policy's
+    stationary mass on the truncation boundary (l_a == L or l_h == L),
+    which is small when L is large enough."""
 
     revenue: float
     policy: dict[MdpState, MdpAction]
@@ -342,7 +344,6 @@ class SolveResult:
     weights: RewardWeights
     params: ProtocolParams  # the parameter point the policy was solved for
     rvi_sweeps: int
-    policy_sweeps: int
     eval_iterations: int
     boundary_mass: float
 
@@ -372,43 +373,41 @@ _MAX_EVAL = 200_000
 
 def _gain(
     table: TransitionTable, reward: np.ndarray, values: np.ndarray
-) -> tuple[float, np.ndarray, int, int]:
+) -> tuple:
     """Optimal average of the transformed reward by relative value
     iteration, modified as policy iteration (Puterman and Shin, Management
     Science 1978).
 
-    A full sweep applies the Bellman operator over all flat rows.  When its
-    span test fails, _POLICY_SWEEPS sweeps follow on the greedy policy's own
-    chain, which has about a quarter of the table's nonzeros; the chain and
-    its rewards are extracted again only when the greedy actions change.
-    Only a full sweep stops the loop, and its span test bounds the optimal
-    gain whatever v it starts from, so the policy sweeps leave the returned
-    gain's error bound as it was.  The damping mixes in a self-loop, which
-    removes periodicity without changing the average reward.  Returns
-    (gain, bias values, full sweeps, policy sweeps).
+    A full sweep applies the Bellman operator over all flat rows and picks
+    the greedy actions.  When its span test fails, _POLICY_SWEEPS sweeps
+    follow on the greedy policy's own chain, which has about a quarter of
+    the table's nonzeros; the chain is extracted again only when the greedy
+    actions change.  Only a full sweep stops the loop, and its span test
+    bounds the optimal gain whatever v it starts from, so the policy sweeps
+    leave the returned gain's error bound as it was.  The damping mixes in a
+    self-loop, which removes periodicity without changing the average
+    reward.  Returns (gain, bias values, flat rows and transition rows of
+    the policy greedy in the last full sweep, full sweeps).
     """
     n = len(table.states)
     v = values
     actions = None
-    policy_sweeps = 0
     for sweep in range(1, _MAX_INNER + 1):
         q = (reward + table.transition @ v).reshape(len(ACTION_ORDER), -1)
-        best = q.max(axis=0)
-        mixed = (1.0 - _DAMPING) * v + _DAMPING * best
-        diff = mixed - v
-        lo, hi = diff.min(), diff.max()
-        v = mixed - mixed[0]
-        if (hi - lo) / _DAMPING < _EPS_INNER:
-            return (hi + lo) / (2.0 * _DAMPING), v, sweep, policy_sweeps
         greedy = q.argmax(axis=0)
         if not np.array_equal(greedy, actions):
             actions = greedy
             rows = actions * n + np.arange(n)
             chain, chain_reward = table.transition[rows], reward[rows]
+        diff = q.max(axis=0) - v
+        lo, hi = diff.min(), diff.max()
+        v = v + _DAMPING * diff
+        v -= v[0]
+        if hi - lo < _EPS_INNER:
+            return (hi + lo) / 2.0, v, rows, chain, sweep
         for _ in range(_POLICY_SWEEPS):
             v = (1.0 - _DAMPING) * v + _DAMPING * (chain_reward + chain @ v)
             v -= v[0]
-        policy_sweeps += _POLICY_SWEEPS
     raise SolverError("value iteration did not converge", _MAX_INNER, hi - lo)
 
 
@@ -440,12 +439,13 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     """Optimal relative revenue over the truncated state space.
 
     Dinkelbach steps from w = 0: value iteration warm-started from the last
-    bias finds the optimal gain of selfish - w * total reward, and the
-    greedy policy's exact ratio from the start state (its stationary
-    distribution to an L1 change below _EPS_EVAL) becomes the next w.  The
-    steps stop once the gain is at most _EPS_INNER or the ratio stops
-    rising.  revenue is the exact ratio of the best policy evaluated, which
-    is the one returned, with the diagnostics SolveResult lists.
+    bias finds the optimal gain of selfish - w * total reward, and the exact
+    ratio of the policy greedy in its last full sweep, from the start state
+    (its stationary distribution to an L1 change below _EPS_EVAL), becomes
+    the next w.  The steps stop once the gain is at most _EPS_INNER or the
+    ratio stops rising.  revenue is the exact ratio of the best policy
+    evaluated, which is the one returned, with the diagnostics SolveResult
+    lists.
     """
     r_self, r_total = table.expected_rewards(weights)
     # Unavailable pairs never win a max: their reward -inf - w * 0 stays -inf.
@@ -454,33 +454,27 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     v = np.zeros(n)
     x = np.zeros(n)
     x[0] = 1.0
-    w, best, best_actions, best_x = 0.0, -np.inf, None, None
-    sweeps = policy_sweeps = evaluations = 0
+    w, best, best_rows, best_x = 0.0, -np.inf, None, None
+    sweeps = evaluations = 0
     for outer in count(1):
-        reward = r_self - w * r_total
-        g, v, used, policy_used = _gain(table, reward, v)
+        g, v, rows, chain, used = _gain(table, r_self - w * r_total, v)
         sweeps += used
-        policy_sweeps += policy_used
-        q = reward + table.transition @ v
-        actions = q.reshape(len(ACTION_ORDER), -1).argmax(axis=0)
-        rows = actions * n + np.arange(n)
-        x, used = _stationary(table.transition[rows], x)
+        x, used = _stationary(chain, x)
         evaluations += used
         ratio = float(x @ r_self[rows]) / float(x @ r_total[rows])
         if ratio > best:
-            best, best_actions, best_x = ratio, actions, x
+            best, best_rows, best_x = ratio, rows, x
         if g <= _EPS_INNER or ratio <= w:
             break
         w = ratio
     return SolveResult(
         revenue=best,
-        policy={s: ACTION_ORDER[a] for s, a in zip(table.states, best_actions)},
+        policy={s: ACTION_ORDER[k] for s, k in zip(table.states, best_rows // n)},
         outer_iterations=outer,
         truncation=table.truncation,
         weights=weights,
         params=table.params,
         rvi_sweeps=sweeps,
-        policy_sweeps=policy_sweeps,
         eval_iterations=evaluations,
         boundary_mass=float(best_x[table._skeleton.boundary].sum()),
     )

@@ -1,10 +1,11 @@
 """Reference values for checking the solver and the simulator: a
-per-state view of the transition table's arrays, the exact long-run revenue
-of a fixed policy and the number of closed classes of its chain, the
-optimal gain of a reward by plain relative value iteration, Eyal-Sirer SM1
-selfish mining ("Majority is not Enough", arXiv:1311.0243) as a fixed MDP
-policy with its closed-form relative revenue, and the interval simulation
-computed one interval at a time."""
+per-state view of the transition table's arrays, the stationary
+distribution and exact long-run revenue of a fixed policy and the number
+of closed classes of its chain, the optimal gain of a reward by plain
+relative value iteration, Eyal-Sirer SM1 selfish mining ("Majority is not
+Enough", arXiv:1311.0243) as a fixed MDP policy with its closed-form
+relative revenue, and the interval simulation computed one interval at a
+time."""
 import math
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -75,21 +76,42 @@ def build_transitions(params, truncation: int = 20) -> TableView:
     return TableView(params, truncation)
 
 
-def policy_value(table, weights, actions: list[MdpAction]) -> float:
-    """Exact long-run revenue ratio of a fixed policy, one action per state
-    in table.states order, from the stationary distribution of the states
-    it reaches from the start state table.states[0]."""
+def _policy_rows(table, actions: list[MdpAction]) -> list[int]:
     n = len(table.states)
-    rows = [ACTION_ORDER.index(a) * n + i for i, a in enumerate(actions)]
-    reached = breadth_first_order(table.transition[rows], 0, return_predecessors=False)
-    chain = table.transition[rows][reached][:, reached]
+    return [ACTION_ORDER.index(a) * n + i for i, a in enumerate(actions)]
+
+
+def _policy_chain(table, actions: list[MdpAction]):
+    """The states a fixed policy's chain reaches from the start state
+    table.states[0], and its transition matrix among them."""
+    chain = table.transition[_policy_rows(table, actions)]
+    # gamma = 0 or 1 stores zero-probability outcomes, which are not edges.
+    chain.eliminate_zeros()
+    reached = breadth_first_order(chain, 0, return_predecessors=False)
+    return reached, chain[reached][:, reached]
+
+
+def stationary_distribution(table, actions: list[MdpAction]) -> np.ndarray:
+    """Stationary distribution of a fixed policy, one action per state in
+    table.states order, over the states it reaches from the start state
+    table.states[0], by a direct sparse solve; 0 on the other states."""
+    reached, chain = _policy_chain(table, actions)
     # pi (P - I) = 0 with the first balance equation replaced by sum(pi) = 1.
     system = (chain.T - sparse.identity(len(reached))).tolil()
     system[0, :] = 1.0
     rhs = np.zeros(len(reached))
     rhs[0] = 1.0
-    pi = spsolve(system.tocsc(), rhs)
-    r_self, r_total = (r[rows][reached] for r in table.expected_rewards(weights))
+    pi = np.zeros(len(table.states))
+    pi[reached] = spsolve(system.tocsc(), rhs)
+    return pi
+
+
+def policy_value(table, weights, actions: list[MdpAction]) -> float:
+    """Exact long-run revenue ratio of a fixed policy, one action per state
+    in table.states order, from its stationary distribution."""
+    pi = stationary_distribution(table, actions)
+    rows = _policy_rows(table, actions)
+    r_self, r_total = (r[rows] for r in table.expected_rewards(weights))
     return float(pi @ r_self) / float(pi @ r_total)
 
 
@@ -97,12 +119,8 @@ def closed_classes(table, actions: list[MdpAction]) -> int:
     """Number of closed communicating classes of a fixed policy's chain,
     one action per state in table.states order, among the states it reaches
     from the start state table.states[0].  A unichain policy has one."""
-    n = len(table.states)
-    chain = table.transition[[ACTION_ORDER.index(a) * n + i for i, a in enumerate(actions)]]
-    # gamma = 0 or 1 stores zero-probability outcomes, which are not edges.
-    chain.eliminate_zeros()
-    reached = breadth_first_order(chain, 0, return_predecessors=False)
-    chain = chain[reached][:, reached].tocoo()
+    _, chain = _policy_chain(table, actions)
+    chain = chain.tocoo()
     count, label = connected_components(chain, directed=True, connection="strong")
     leaving = label[chain.row] != label[chain.col]
     return count - len(np.unique(label[chain.row[leaving]]))

@@ -117,6 +117,9 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["revenue", "--config", "CONFIG", "--rho", "1", "--attack", "inclusion"],
         ["mdp", "--config", "CONFIG", "--regime", "fee", "--L", "4"],
         ["simulate", "--strategy", "honest", "--config", "CONFIG"],
+        # A truncation whose table would not fit in memory.
+        ["mdp", "--L", "1000000"],
+        ["simulate", "--strategy", "mdpPolicy", "--L", "1000000"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):

@@ -26,6 +26,7 @@ from oracles import (
     policy_value,
     sm1_action,
     sm1_revenue,
+    stationary_distribution,
 )
 
 ALPHA, GAMMA, R = 0.3, 0.5, 0.4
@@ -235,8 +236,9 @@ def test_action_availability_rules(table):
 
 
 def test_truncation_validation():
-    with pytest.raises(ValueError):
-        build_transitions(PARAMS, truncation=1)
+    for truncation in (1, 101):
+        with pytest.raises(ValueError):
+            build_transitions(PARAMS, truncation=truncation)
 
 
 @pytest.mark.parametrize("truncation", [2, 3, 8, 20])
@@ -358,13 +360,45 @@ def test_sm1_policy_value_matches_eyal_sirer_closed_form(alpha):
 )
 def test_revenue_is_the_exact_value_of_the_returned_policy(alpha, r, regime):
     # policy_value solves the policy's stationary distribution directly,
-    # independently of the solver's power iteration.
+    # independently of the solver's power iteration; the boundary mass must
+    # come from the same policy's distribution.
     params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=r)
     table = build_transitions(params, truncation=20)
     weights = RewardWeights.from_regime(regime)
     result = solve(table, weights)
-    exact = policy_value(table, weights, [result.policy[s] for s in table.states])
-    assert abs(result.revenue - exact) < 1e-9
+    actions = [result.policy[s] for s in table.states]
+    assert abs(result.revenue - policy_value(table, weights, actions)) < 1e-9
+    boundary = [max(s.l_a, s.l_h) == table.truncation for s in table.states]
+    pi = stationary_distribution(table, actions)
+    assert abs(result.boundary_mass - pi[boundary].sum()) < 1e-10
+
+
+def test_policy_value_ignores_zero_probability_outcomes():
+    # At gamma = 0 a match never wins, so matchH at (1, 1) never reaches the
+    # H_EX / S_H states its zero-probability outcomes point at, and the rule
+    # there cannot change the value.  Taken as edges, those outcomes pull a
+    # second closed class into the balance system.
+    params = ProtocolParams(alpha=0.3, gamma=0.0, split_ratio=0.4)
+    table = build_transitions(params, truncation=8)
+    weights = RewardWeights.from_regime("fee")
+    hidden = (LastMicro.H_EX, LastMicro.S_H)
+
+    def policy(hidden_rule):
+        actions = []
+        for s in table.states:
+            if s == MdpState(1, 1, Fork.NO_TIE, LastMicro.H_IN):
+                actions.append(MdpAction.MATCH_H)
+                continue
+            if hidden_rule and s.last_micro in hidden:
+                order = (MdpAction.WAIT, MdpAction.OVERRIDE_H, MdpAction.ADOPT_E)
+            else:
+                order = (MdpAction.WAIT, MdpAction.OVERRIDE, MdpAction.ADOPT)
+            actions.append(next(a for a in order if a in table.actions(s)))
+        return actions
+
+    value = policy_value(table, weights, policy(hidden_rule=True))
+    reference = policy_value(table, weights, policy(hidden_rule=False))
+    assert value == pytest.approx(reference, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -236,7 +236,6 @@ def _hand_built(
         weights=weights,
         params=params,
         rvi_sweeps=0,
-        policy_sweeps=0,
         eval_iterations=0,
         boundary_mass=0.0,
     )
