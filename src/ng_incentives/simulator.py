@@ -248,7 +248,7 @@ def _show(state) -> str:
     return f"({l_a}, {l_h}, {Fork(fork).name}, {LastMicro(last).name})"
 
 
-def _compile(result: SolveResult, r: float) -> tuple:
+def _compile(result: SolveResult) -> tuple:
     """Tabulate a policy's rollout: entry _CODES * i + code stands for state
     i of result.policy followed by a key block with that draw code.
 
@@ -285,7 +285,7 @@ def _compile(result: SolveResult, r: float) -> tuple:
     whose chain cannot be followed.
     """
     policy = result.policy
-    L = result.truncation
+    L, r = result.truncation, result.params.split_ratio
     actions = list(policy.values())
     states = np.fromiter(chain.from_iterable(policy), np.int32, 4 * len(policy)).reshape(-1, 4)
     kind = np.array([_ACTION_CODES.get(a, -1) for a in actions], np.int64)
@@ -451,7 +451,7 @@ def _run_policy(config: SimConfig) -> SimReport:
         raise ValueError(
             f"policy was solved for {result.params}, not for the simulated {p}"
         )
-    successors, deltas, visits, s = _compile(result, p.split_ratio)
+    successors, deltas, visits, s = _compile(result)
     weights = config.effective_weights()
     kw, fw = weights.key_weight, weights.fee_weight
     sel_value = kw * deltas[:, _R_A] + fw * deltas[:, _T_A]

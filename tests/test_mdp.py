@@ -44,10 +44,11 @@ def _outs(table, l_a, l_h, fork, last, action):
 
 def test_state_count_at_default_truncation():
     # 4 last_micro values; tie and tiePrime only when 1 <= l_h <= l_a.
-    states = enumerate_states(20)
-    no_tie = 21 * 21 * 4
-    ties = 2 * 4 * sum(min(l_a, 20) for l_a in range(1, 21))
-    assert len(states) == no_tie + ties == 3444
+    for truncation in (2, 20, 100):
+        no_tie = 4 * (truncation + 1) ** 2
+        ties = 2 * 4 * sum(min(l_a, truncation) for l_a in range(1, truncation + 1))
+        assert len(enumerate_states(truncation)) == no_tie + ties, truncation
+    assert len(enumerate_states(20)) == 3444
 
 
 def test_probabilities_sum_to_one_everywhere(table):
@@ -239,6 +240,33 @@ def test_truncation_validation():
     for truncation in (1, 101):
         with pytest.raises(ValueError):
             build_transitions(PARAMS, truncation=truncation)
+    assert len(build_transitions(PARAMS, truncation=100).states) == len(enumerate_states(100))
+
+
+@pytest.mark.parametrize(
+    "rule, target, action",
+    [
+        # A negative field would wrap around in the dense state index.
+        (2, lambda l_a, l_h: (l_a - l_h - 2, 1, Fork.NO_TIE, LastMicro.S_P), "override"),
+        # A tie needs l_h >= 1, so this is no state.
+        (0, lambda l_a, l_h: (1, 0, Fork.TIE, LastMicro.H_IN), "adopt"),
+    ],
+    ids=["negative-field", "missing-state"],
+)
+def test_rule_leading_to_no_state_fails_the_build(monkeypatch, rule, target, action):
+    rules = mdp._rules
+
+    def patched(states, truncation):
+        table = rules(states, truncation)
+        name, mask, outcomes = table[rule]
+        _, p_kind, r_kind = outcomes[0]
+        outcomes = [(target(states[:, 0], states[:, 1]), p_kind, r_kind), *outcomes[1:]]
+        table[rule] = name, mask, outcomes
+        return table
+
+    monkeypatch.setattr(mdp, "_rules", patched)
+    with pytest.raises(ValueError, match=f"^{action} in state .* not a state at truncation L=8$"):
+        mdp._Skeleton(8)
 
 
 @pytest.mark.parametrize("truncation", [2, 3, 8, 20])

@@ -376,7 +376,7 @@ def _step_by_step(config: SimConfig) -> tuple:
     one draw per key block.  Returns (ledger totals, boundary visits, z, k,
     the batch-means standard error of the revenue ratio)."""
     result, p, m = config.strategy.result, config.params, config.horizon_keyblocks
-    successors, deltas, entry_visits, base = _compile(result, p.split_ratio)
+    successors, deltas, entry_visits, base = _compile(result)
     weights = config.effective_weights()
     kw, fw = weights.key_weight, weights.fee_weight
     size = max(1, m // _BATCHES)
@@ -499,7 +499,7 @@ def test_chain_rules_agree_with_solver_table():
                 for s in table.states
             }
             result = _hand_built(policy, params, truncation)
-            successors, deltas, visits, _ = _compile(result, 0.7)
+            successors, deltas, visits, _ = _compile(result)
             for i, (state, action) in enumerate(policy.items()):
                 entries = slice(3 * i, 3 * i + 3)
                 on_boundary = truncation in (state.l_a, state.l_h)
