@@ -25,7 +25,6 @@ from .mdp import (
     Fork,
     LastMicro,
     MdpAction,
-    MdpState,
     SolveResult,
     build_transitions,
     solve,
@@ -66,7 +65,6 @@ __all__ = [
     "Fork",
     "LastMicro",
     "MdpAction",
-    "MdpState",
     "SolveResult",
     "build_transitions",
     "solve",

@@ -163,6 +163,10 @@ def cmd_revenue(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_mdp(args) -> tuple[dict, list[dict]]:
+    # Not an argparse group: --alpha-grid and --r-grid are in one already.
+    for scalar, grid in (("alpha", args.alpha_grid), ("r", args.r_grid)):
+        if grid is not None and getattr(args, scalar) is not None:
+            raise UsageError(f"argument --{scalar}-grid: not allowed with argument --{scalar}")
     params = _base_params(args)
     regimes = args.regime if args.regime else list(REGIMES)
     if args.r_grid:
@@ -299,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="write output to file")
 
     p = sub.add_parser("bounds", help="split-ratio bounds over an alpha grid")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--alpha", type=float, default=None)
+    grid.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
     p.add_argument(
         "--class",
         dest="transaction_class",
@@ -313,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("revenue", help="closed-form attack revenue over a rho grid")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--rho-grid", default=None, metavar="A:B:STEP")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--rho", type=float, default=0.0)
+    grid.add_argument("--rho-grid", default=None, metavar="A:B:STEP")
     p.add_argument(
         "--attack", choices=("inclusion", "extension", "both"), default="both"
     )

@@ -51,11 +51,10 @@ without loosening the gain's error bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
-from itertools import chain, count, product
-from typing import NamedTuple
+from itertools import count, product
 
 import numpy as np
 
@@ -89,13 +88,6 @@ class MdpAction(Enum):
 
 
 ACTION_ORDER = tuple(MdpAction)
-
-
-class MdpState(NamedTuple):
-    l_a: int
-    l_h: int
-    fork: Fork
-    last_micro: LastMicro
 
 
 # Probability kinds, in the order TransitionTable fills them in.
@@ -134,20 +126,18 @@ def _reward_coefficients(kind: int, l_h: int, last: LastMicro) -> tuple:
     return _NONE, lead_h, (n, 0, 0), (lead_a[0] + n - 1, *lead_a[1:])
 
 
-def enumerate_states(truncation: int) -> list[MdpState]:
-    """All states with chain lengths capped at the truncation bound.
+def enumerate_states(truncation: int) -> np.ndarray:
+    """All states with chain lengths capped at the truncation bound, one
+    row (l_a, l_h, fork, last_micro) each.
 
-    A tie (matched branch) requires l_a >= l_h >= 1.
+    A tie (matched branch) requires l_a >= l_h >= 1.  Rows are unique and
+    sorted by (l_a, l_h, last_micro, fork), so row 0 is the start state
+    (0, 0, NO_TIE, H_IN), from which the solver evaluates its policies.
     """
-    states: list[MdpState] = []
-    for l_a in range(truncation + 1):
-        for l_h in range(truncation + 1):
-            for last in LastMicro:
-                states.append(MdpState(l_a, l_h, Fork.NO_TIE, last))
-                if 1 <= l_h <= l_a:
-                    states.append(MdpState(l_a, l_h, Fork.TIE, last))
-                    states.append(MdpState(l_a, l_h, Fork.TIE_PRIME, last))
-    return states
+    size = truncation + 1
+    l_a, l_h, last, fork = np.indices((size, size, len(LastMicro), len(Fork))).reshape(4, -1)
+    valid = (fork == Fork.NO_TIE) | ((1 <= l_h) & (l_h <= l_a))
+    return np.stack((l_a, l_h, fork, last), axis=1)[valid]
 
 
 def _rules(states: np.ndarray, truncation: int) -> list:
@@ -223,15 +213,14 @@ class _Skeleton:
     """
 
     def __init__(self, truncation: int):
-        self.states = tuple(enumerate_states(truncation))
-        n = len(self.states)
-        fields = np.fromiter(chain.from_iterable(self.states), np.int64, 4 * n).reshape(n, 4)
+        self.states = states = enumerate_states(truncation)
+        n = len(states)
         # State index over the box of all field values; -1 marks no state.
         box = np.full((truncation + 1, truncation + 1, len(Fork), len(LastMicro)), -1)
-        box[tuple(fields.T)] = np.arange(n)
-        source = fields[:, 1] * len(LastMicro) + fields[:, 3]
+        box[tuple(states.T)] = np.arange(n)
+        source = states[:, 1] * len(LastMicro) + states[:, 3]
         parts = []  # per rule: flat rows, next states, probability kinds, reward ids
-        for action, mask, outcomes in _rules(fields, truncation):
+        for action, mask, outcomes in _rules(states, truncation):
             (i,) = np.nonzero(mask)
             targets, p_kinds, r_kinds = zip(*outcomes)
             target = np.stack([np.broadcast_to(f, n)[i] for t in targets for f in t], -1)
@@ -241,7 +230,7 @@ class _Skeleton:
             col[inside] = box[tuple(target[inside].T)]
             if (col < 0).any():
                 j = np.argmax(col < 0)
-                state = tuple(fields[i[j // len(outcomes)]].tolist())
+                state = tuple(states[i[j // len(outcomes)]].tolist())
                 raise ValueError(
                     f"{action.value} in state {state} leads to {tuple(target[j].tolist())},"
                     f" not a state at truncation L={truncation}"
@@ -260,7 +249,7 @@ class _Skeleton:
         row_counts = np.bincount(self.row, minlength=len(ACTION_ORDER) * n)
         self.indptr = np.concatenate(([0], np.cumsum(row_counts))).astype(np.int32)
         self.available = np.diff(self.indptr) > 0
-        self.boundary = fields[:, :2].max(axis=1) == truncation
+        self.boundary = states[:, :2].max(axis=1) == truncation
         # Indexed by reward id, then reward field, then (c, a, b).
         keys = product(range(4), range(truncation + 1), LastMicro)
         self.coefficients = np.array([_reward_coefficients(*k) for k in keys], float)
@@ -333,10 +322,13 @@ class SolveResult:
     Dinkelbach steps; full value iteration sweeps and policy evaluation
     iterations, each summed over the steps; and the returned policy's
     stationary mass on the truncation boundary (l_a == L or l_h == L),
-    which is small when L is large enough."""
+    which is small when L is large enough.  policy is the ACTION_ORDER
+    index taken in each row of states, the table's own state array; both
+    are read-only and left out of ==, which cannot compare arrays."""
 
     revenue: float
-    policy: dict[MdpState, MdpAction]
+    policy: np.ndarray = field(compare=False)
+    states: np.ndarray = field(compare=False)
     outer_iterations: int
     truncation: int
     weights: RewardWeights
@@ -465,9 +457,12 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
         if g <= _EPS_INNER or ratio <= w:
             break
         w = ratio
+    policy = best_rows // n
+    policy.flags.writeable = False
     return SolveResult(
         revenue=best,
-        policy={s: ACTION_ORDER[k] for s, k in zip(table.states, best_rows // n)},
+        policy=policy,
+        states=table.states,
         outer_iterations=outer,
         truncation=table.truncation,
         weights=weights,

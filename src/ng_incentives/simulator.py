@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Union
 
 import numpy as np
 
-from .mdp import Fork, LastMicro, MdpAction, MdpState, SolveResult
+from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, SolveResult
 from .model import ProtocolParams, RewardWeights
 
 
@@ -240,7 +239,6 @@ _SELFISH, _MATCH_WIN, _HONEST = range(_CODES)
 # Ledger delta fields of one step, in this order.
 _R_A, _R_H, _T_A, _T_H, _ORPHANED = range(5)
 _CHUNK = 128  # draw codes per row of the rollout's parallel scan
-_ACTION_CODES = {action: k for k, action in enumerate(MdpAction)}
 
 
 def _show(state) -> str:
@@ -249,8 +247,9 @@ def _show(state) -> str:
 
 
 def _compile(result: SolveResult) -> tuple:
-    """Tabulate a policy's rollout: entry _CODES * i + code stands for state
-    i of result.policy followed by a key block with that draw code.
+    """Tabulate a policy's rollout: entry _CODES * i + code stands for row
+    i of result.states, taking action ACTION_ORDER[result.policy[i]],
+    followed by a key block with that draw code.
 
     Every action but REVERT mines one key block.  ADOPT settles the l_h
     public blocks on the honest miners, OVERRIDE the l_h + 1 private blocks
@@ -281,21 +280,20 @@ def _compile(result: SolveResult) -> tuple:
     boundary visits, and the start state's entry base.  Reverts fold into
     the drawing step after them, which counts every state they pass; each
     clears TIE_PRIME, S_H or H_EX, so two folds reach a drawing state.
-    Raises ValueError, naming the state, at the first state in policy order
+    Raises ValueError, naming the state, at the first row of result.states
     whose chain cannot be followed.
     """
-    policy = result.policy
+    states, kind = result.states, result.policy
     L, r = result.truncation, result.params.split_ratio
-    actions = list(policy.values())
-    states = np.fromiter(chain.from_iterable(policy), np.int32, 4 * len(policy)).reshape(-1, 4)
-    kind = np.array([_ACTION_CODES.get(a, -1) for a in actions], np.int64)
     own = np.arange(len(states))
 
-    # Policy index over a box that holds every key and the start state;
+    # Policy index over a box that holds every state and the start state;
     # -1 marks a state the policy does not cover.
     lo, hi = states.min(0, initial=0), states.max(0, initial=0)
-    slot = np.full(hi - lo + 1, -1)
-    slot[tuple((states - lo).T)] = own
+    slot, key = np.full(hi - lo + 1, -1), tuple((states - lo).T)
+    slot[key] = own
+    if kind.shape != own.shape or (slot[key] != own).any():
+        raise ValueError("a policy must take one action in each of its states, each state once")
 
     def locate(targets: np.ndarray) -> np.ndarray:
         inside = np.all((targets >= lo) & (targets <= hi), axis=-1)
@@ -304,7 +302,7 @@ def _compile(result: SolveResult) -> tuple:
         return found
 
     def chose(*options: MdpAction) -> np.ndarray:
-        return np.isin(kind, [_ACTION_CODES[a] for a in options])
+        return np.isin(kind, [ACTION_ORDER.index(a) for a in options])
 
     l_a, l_h, fork, last = states.T
     reverts = chose(MdpAction.REVERT)
@@ -360,25 +358,26 @@ def _compile(result: SolveResult) -> tuple:
     delta[..., _R_H] = np.where(to_selfish, 0.0, n)
     delta[~settles] = 0.0
 
-    mines = (kind >= 0) & ~reverts
+    mines = (kind >= 0) & (kind < len(ACTION_ORDER)) & ~reverts
     failed = (~mines | negative.any(axis=1) | (target < 0).any(axis=1))[drawing]
     if failed.any():
         j = drawing[np.argmax(failed)]
-        state, action = _show(states[j].tolist()), actions[j]
+        state, k = _show(states[j].tolist()), int(kind[j])
         if stuck[j]:
             raise ValueError(f"revert has no target in state {state}")
-        successor = reverted[j]
+        # Two folds reach a drawing state, so any other revert here is lost.
+        if not (mines[j] or reverts[j]):
+            raise ValueError(f"unknown action index {k} in state {state}")
+        action, successor = ACTION_ORDER[k].value, reverted[j]
         if not lost[j]:
-            if not mines[j]:
-                raise ValueError(f"unknown action {action!r} in state {state}")
             if negative[j].any():
-                raise ValueError(f"{action.value} gives a negative chain length in state {state}")
+                raise ValueError(f"{action} gives a negative chain length in state {state}")
             successor = following[j, np.argmax(target[j] < 0)]
         raise ValueError(
-            f"{action.value} in state {state} leads to {_show(successor.tolist())},"
+            f"{action} in state {state} leads to {_show(successor.tolist())},"
             f" a state the policy (truncation L={L}) does not cover"
         )
-    start = MdpState(0, 0, Fork.NO_TIE, LastMicro.H_IN)
+    start = (0, 0, Fork.NO_TIE, LastMicro.H_IN)
     (begin,) = locate(np.array([start]))
     if begin < 0:
         raise ValueError(f"start state {_show(start)} missing from the policy")

@@ -1,11 +1,11 @@
 """Reference values for checking the solver and the simulator: a
-per-state view of the transition table's arrays, the stationary
-distribution and exact long-run revenue of a fixed policy and the number
-of closed classes of its chain, the optimal gain of a reward by plain
-relative value iteration, Eyal-Sirer SM1 selfish mining ("Majority is not
-Enough", arXiv:1311.0243) as a fixed MDP policy with its closed-form
-relative revenue, and the interval simulation computed one interval at a
-time."""
+per-state view of the transition table's arrays, policies picked state by
+state, the stationary distribution and exact long-run revenue of a fixed
+policy and the number of closed classes of its chain, the optimal gain of
+a reward by plain relative value iteration, Eyal-Sirer SM1 selfish mining
+("Majority is not Enough", arXiv:1311.0243) as a fixed MDP policy with its
+closed-form relative revenue, and the interval simulation computed one
+interval at a time."""
 import math
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -16,8 +16,15 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import spsolve
 
 from ng_incentives.concentration import count_pairs
-from ng_incentives.mdp import ACTION_ORDER, Fork, MdpAction, MdpState, TransitionTable
+from ng_incentives.mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, TransitionTable
 from ng_incentives.simulator import Extension, Inclusion, SimConfig, SimReport
+
+
+class MdpState(NamedTuple):
+    l_a: int
+    l_h: int
+    fork: Fork
+    last_micro: LastMicro
 
 
 class RewardTuple(NamedTuple):
@@ -34,13 +41,21 @@ class Outcome(NamedTuple):
 
 
 class TableView(TransitionTable):
-    """A transition table read one state at a time: the available actions
-    of a state, the outcomes of a (state, action) pair in rule order, and
-    every available pair with its outcomes."""
+    """A transition table read one state at a time: the rows of states as
+    MdpState tuples, the available actions of a state, the outcomes of a
+    (state, action) pair in rule order, and every available pair with its
+    outcomes."""
+
+    @cached_property
+    def state_tuples(self) -> list[MdpState]:
+        return [
+            MdpState(l_a, l_h, Fork(fork), LastMicro(last))
+            for l_a, l_h, fork, last in self.states.tolist()
+        ]
 
     @cached_property
     def state_index(self) -> dict[MdpState, int]:
-        return {s: i for i, s in enumerate(self.states)}
+        return {s: i for i, s in enumerate(self.state_tuples)}
 
     def actions(self, state: MdpState) -> list[MdpAction]:
         n, i = len(self.states), self.state_index[state]
@@ -57,7 +72,7 @@ class TableView(TransitionTable):
         first = sk.csr_order[lo:hi].min()
         span = slice(first, first + hi - lo)
         return [
-            Outcome(self.states[col], probability, RewardTuple(*reward))
+            Outcome(self.state_tuples[col], probability, RewardTuple(*reward))
             for col, probability, reward in zip(
                 sk.col[span].tolist(),
                 self.probability[span].tolist(),
@@ -68,7 +83,7 @@ class TableView(TransitionTable):
     def items(self) -> Iterator[tuple[MdpState, MdpAction, list[Outcome]]]:
         for flat in dict.fromkeys(self._skeleton.row.tolist()):
             k, i = divmod(flat, len(self.states))
-            state, action = self.states[i], ACTION_ORDER[k]
+            state, action = self.state_tuples[i], ACTION_ORDER[k]
             yield state, action, self.outcomes(state, action)
 
 
@@ -76,26 +91,32 @@ def build_transitions(params, truncation: int = 20) -> TableView:
     return TableView(params, truncation)
 
 
-def _policy_rows(table, actions: list[MdpAction]) -> list[int]:
-    n = len(table.states)
-    return [ACTION_ORDER.index(a) * n + i for i, a in enumerate(actions)]
+def policy_of(table: TableView, choose) -> np.ndarray:
+    """The policy, as SolveResult.policy holds it, that takes the action
+    choose(state) in every state of the table, in table.states order."""
+    return np.array([ACTION_ORDER.index(choose(s)) for s in table.state_tuples])
 
 
-def _policy_chain(table, actions: list[MdpAction]):
+def _policy_rows(table, policy: np.ndarray) -> np.ndarray:
+    return policy * len(table.states) + np.arange(len(table.states))
+
+
+def _policy_chain(table, policy: np.ndarray):
     """The states a fixed policy's chain reaches from the start state
     table.states[0], and its transition matrix among them."""
-    chain = table.transition[_policy_rows(table, actions)]
+    chain = table.transition[_policy_rows(table, policy)]
     # gamma = 0 or 1 stores zero-probability outcomes, which are not edges.
     chain.eliminate_zeros()
     reached = breadth_first_order(chain, 0, return_predecessors=False)
     return reached, chain[reached][:, reached]
 
 
-def stationary_distribution(table, actions: list[MdpAction]) -> np.ndarray:
-    """Stationary distribution of a fixed policy, one action per state in
-    table.states order, over the states it reaches from the start state
-    table.states[0], by a direct sparse solve; 0 on the other states."""
-    reached, chain = _policy_chain(table, actions)
+def stationary_distribution(table, policy: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a fixed policy, one ACTION_ORDER index
+    per state in table.states order, over the states it reaches from the
+    start state table.states[0], by a direct sparse solve; 0 on the other
+    states."""
+    reached, chain = _policy_chain(table, policy)
     # pi (P - I) = 0 with the first balance equation replaced by sum(pi) = 1.
     system = (chain.T - sparse.identity(len(reached))).tolil()
     system[0, :] = 1.0
@@ -106,20 +127,22 @@ def stationary_distribution(table, actions: list[MdpAction]) -> np.ndarray:
     return pi
 
 
-def policy_value(table, weights, actions: list[MdpAction]) -> float:
-    """Exact long-run revenue ratio of a fixed policy, one action per state
-    in table.states order, from its stationary distribution."""
-    pi = stationary_distribution(table, actions)
-    rows = _policy_rows(table, actions)
+def policy_value(table, weights, policy: np.ndarray) -> float:
+    """Exact long-run revenue ratio of a fixed policy, one ACTION_ORDER
+    index per state in table.states order, from its stationary
+    distribution."""
+    pi = stationary_distribution(table, policy)
+    rows = _policy_rows(table, policy)
     r_self, r_total = (r[rows] for r in table.expected_rewards(weights))
     return float(pi @ r_self) / float(pi @ r_total)
 
 
-def closed_classes(table, actions: list[MdpAction]) -> int:
+def closed_classes(table, policy: np.ndarray) -> int:
     """Number of closed communicating classes of a fixed policy's chain,
-    one action per state in table.states order, among the states it reaches
-    from the start state table.states[0].  A unichain policy has one."""
-    _, chain = _policy_chain(table, actions)
+    one ACTION_ORDER index per state in table.states order, among the
+    states it reaches from the start state table.states[0].  A unichain
+    policy has one."""
+    _, chain = _policy_chain(table, policy)
     chain = chain.tocoo()
     count, label = connected_components(chain, directed=True, connection="strong")
     leaving = label[chain.row] != label[chain.col]

@@ -17,7 +17,6 @@ from ng_incentives.mdp import (
     Fork,
     LastMicro,
     MdpAction,
-    MdpState,
     solve,
 )
 from ng_incentives.model import ProtocolParams, RewardWeights
@@ -32,7 +31,7 @@ from ng_incentives.simulator import (
 import json
 from pathlib import Path
 
-from oracles import RewardTuple, build_transitions
+from oracles import MdpState, RewardTuple, build_transitions
 
 FIXTURE = Path(__file__).parent / "data" / "fees_fixture.csv"
 REGIMES = ("fee", "equal", "key")

@@ -120,6 +120,11 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         # A truncation whose table would not fit in memory.
         ["mdp", "--L", "1000000"],
         ["simulate", "--strategy", "mdpPolicy", "--L", "1000000"],
+        # A scalar flag next to its grid flag.
+        ["mdp", "--alpha", "0.3", "--alpha-grid", "0.1:0.2:0.1", "--L", "4", "--regime", "key"],
+        ["mdp", "--r", "0.3", "--r-grid", "0.1:0.2:0.1", "--L", "4", "--regime", "key"],
+        ["bounds", "--alpha", "0.3", "--alpha-grid", "0.1:0.2:0.1"],
+        ["revenue", "--rho", "0.5", "--rho-grid", "0:1:0.5"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from ng_incentives.mdp import (
     Fork,
     LastMicro,
     MdpAction,
-    MdpState,
     SolverError,
     enumerate_states,
     solve,
@@ -19,10 +19,12 @@ from ng_incentives.mdp import (
 from ng_incentives.model import ProtocolParams, RewardWeights
 
 from oracles import (
+    MdpState,
     RewardTuple,
     build_transitions,
     closed_classes,
     optimal_gain,
+    policy_of,
     policy_value,
     sm1_action,
     sm1_revenue,
@@ -43,11 +45,18 @@ def _outs(table, l_a, l_h, fork, last, action):
 
 
 def test_state_count_at_default_truncation():
-    # 4 last_micro values; tie and tiePrime only when 1 <= l_h <= l_a.
+    # 4 last_micro values; tie and tiePrime only when 1 <= l_h <= l_a.  The
+    # solver and the oracles start from row 0, and the CSR pattern follows
+    # the row order.
     for truncation in (2, 20, 100):
+        states = enumerate_states(truncation)
         no_tie = 4 * (truncation + 1) ** 2
         ties = 2 * 4 * sum(min(l_a, truncation) for l_a in range(1, truncation + 1))
-        assert len(enumerate_states(truncation)) == no_tie + ties, truncation
+        assert states.shape == (no_tie + ties, 4), truncation
+        assert states[0].tolist() == [0, 0, Fork.NO_TIE, LastMicro.H_IN]
+        assert len(np.unique(states, axis=0)) == len(states)
+        l_a, l_h, fork, last = states.T
+        assert np.array_equal(np.lexsort((fork, last, l_h, l_a)), np.arange(len(states)))
     assert len(enumerate_states(20)) == 3444
 
 
@@ -291,7 +300,7 @@ def test_expected_rewards_weight_each_regime(table):
     # (r_h, t_h, r_a, t_a) = (0, r, 4, 3 + (1 - r)), so the row's expected
     # (selfish, total) is key_weight * (4, 4) + fee_weight * (4 - r, 4).
     state = MdpState(5, 3, Fork.NO_TIE, LastMicro.H_IN)
-    flat = ACTION_ORDER.index(MdpAction.OVERRIDE) * len(table.states) + table.states.index(state)
+    flat = ACTION_ORDER.index(MdpAction.OVERRIDE) * len(table.states) + table.state_index[state]
     for regime, expected in (("fee", (4 - R, 4)), ("equal", (8 - R, 8)), ("key", (4, 4))):
         r_self, r_total = table.expected_rewards(RewardWeights.from_regime(regime))
         assert (r_self[flat], r_total[flat]) == pytest.approx(expected, abs=1e-12), regime
@@ -376,8 +385,7 @@ def test_sm1_policy_value_matches_eyal_sirer_closed_form(alpha):
     params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=0.4)
     table = build_transitions(params, truncation=20)
     weights = RewardWeights.from_regime("key")
-    actions = [sm1_action(table, s) for s in table.states]
-    sm1 = policy_value(table, weights, actions)
+    sm1 = policy_value(table, weights, policy_of(table, lambda s: sm1_action(table, s)))
     assert sm1 == pytest.approx(closed, abs=1e-4)
     assert solve(table, weights).revenue >= sm1
 
@@ -394,11 +402,16 @@ def test_revenue_is_the_exact_value_of_the_returned_policy(alpha, r, regime):
     table = build_transitions(params, truncation=20)
     weights = RewardWeights.from_regime(regime)
     result = solve(table, weights)
-    actions = [result.policy[s] for s in table.states]
-    assert abs(result.revenue - policy_value(table, weights, actions)) < 1e-9
-    boundary = [max(s.l_a, s.l_h) == table.truncation for s in table.states]
-    pi = stationary_distribution(table, actions)
+    assert abs(result.revenue - policy_value(table, weights, result.policy)) < 1e-9
+    boundary = table.states[:, :2].max(axis=1) == table.truncation
+    pi = stationary_distribution(table, result.policy)
     assert abs(result.boundary_mass - pi[boundary].sum()) < 1e-10
+    # The policy names the table's own read-only rows, and a result with
+    # equal but distinct arrays still compares equal.
+    assert result.states is table.states
+    assert dataclasses.replace(result, policy=result.policy.copy()) == result
+    with pytest.raises(ValueError, match="read-only"):
+        result.policy[0] = 0
 
 
 def test_policy_value_ignores_zero_probability_outcomes():
@@ -412,17 +425,16 @@ def test_policy_value_ignores_zero_probability_outcomes():
     hidden = (LastMicro.H_EX, LastMicro.S_H)
 
     def policy(hidden_rule):
-        actions = []
-        for s in table.states:
+        def choose(s):
             if s == MdpState(1, 1, Fork.NO_TIE, LastMicro.H_IN):
-                actions.append(MdpAction.MATCH_H)
-                continue
+                return MdpAction.MATCH_H
             if hidden_rule and s.last_micro in hidden:
                 order = (MdpAction.WAIT, MdpAction.OVERRIDE_H, MdpAction.ADOPT_E)
             else:
                 order = (MdpAction.WAIT, MdpAction.OVERRIDE, MdpAction.ADOPT)
-            actions.append(next(a for a in order if a in table.actions(s)))
-        return actions
+            return next(a for a in order if a in table.actions(s))
+
+        return policy_of(table, choose)
 
     value = policy_value(table, weights, policy(hidden_rule=True))
     reference = policy_value(table, weights, policy(hidden_rule=False))
@@ -463,7 +475,7 @@ def test_returned_policy_is_unichain(alpha, gamma, regime):
     params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=0.4)
     table = build_transitions(params, truncation=20)
     result = solve(table, RewardWeights.from_regime(regime))
-    assert closed_classes(table, [result.policy[s] for s in table.states]) == 1
+    assert closed_classes(table, result.policy) == 1
 
 
 @pytest.mark.parametrize(

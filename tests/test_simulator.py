@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from ng_incentives import closedform as cf
 from ng_incentives import simulator
 from ng_incentives.mdp import (
+    ACTION_ORDER,
     Fork,
     LastMicro,
     MdpAction,
-    MdpState,
     SolveResult,
     enumerate_states,
     solve,
@@ -36,7 +36,14 @@ from ng_incentives.simulator import (
     run,
 )
 
-from oracles import build_transitions, interval_reference, policy_value, sm1_action, sm1_revenue
+from oracles import (
+    build_transitions,
+    interval_reference,
+    policy_of,
+    policy_value,
+    sm1_action,
+    sm1_revenue,
+)
 
 
 def _config(strategy, alpha=0.3, r=0.4, m=200_000, seed=11, **kwargs):
@@ -216,21 +223,28 @@ def test_policy_rollout_rejects_other_params(solved):
         run(SimConfig(other, MdpPolicy(result), 10_000, seed=1))
 
 
-def _honest_policy(truncation: int) -> dict:
-    """Publish any lead at once and adopt any public block."""
-    return {
-        s: MdpAction.OVERRIDE if s.l_a > s.l_h
-        else MdpAction.ADOPT if s.l_h else MdpAction.WAIT
-        for s in enumerate_states(truncation)
-    }
+def _honest_policy(truncation: int) -> tuple:
+    """(states, policy) that publish any lead at once and adopt any public
+    block."""
+    states = enumerate_states(truncation)
+    l_a, l_h = states[:, 0], states[:, 1]
+    override, adopt, wait = (
+        ACTION_ORDER.index(a) for a in (MdpAction.OVERRIDE, MdpAction.ADOPT, MdpAction.WAIT)
+    )
+    return states, np.select([l_a > l_h, l_h > 0], [override, adopt], wait)
 
 
 def _hand_built(
-    policy: dict, params: ProtocolParams, truncation: int, weights=RewardWeights.from_regime("key")
+    states: np.ndarray,
+    policy: np.ndarray,
+    params: ProtocolParams,
+    truncation: int,
+    weights=RewardWeights.from_regime("key"),
 ) -> SolveResult:
     return SolveResult(
         revenue=params.alpha,
         policy=policy,
+        states=states,
         outer_iterations=0,
         truncation=truncation,
         weights=weights,
@@ -243,7 +257,7 @@ def _hand_built(
 
 def test_hand_built_honest_policy_earns_fair_share():
     params = ProtocolParams(alpha=0.3)
-    result = _hand_built(_honest_policy(3), params, 3)
+    result = _hand_built(*_honest_policy(3), params, 3)
     rep = run(SimConfig(params, MdpPolicy(result), 100_000, seed=4))
     assert rep.relative_revenue == pytest.approx(0.3, abs=4 * rep.std_error)
     assert rep.orphaned_fee_units == 0.0 and rep.boundary_visits == 0
@@ -253,7 +267,7 @@ def test_policy_rollout_memory_is_bounded():
     # The policy's tables plus one slice of draws, codes and entries,
     # whatever the number of key blocks.
     params = ProtocolParams(alpha=0.4)
-    result = _hand_built(_honest_policy(20), params, 20)
+    result = _hand_built(*_honest_policy(20), params, 20)
     config = SimConfig(params, MdpPolicy(result), 1_000_000, seed=4)
     tracemalloc.start()
     try:
@@ -265,7 +279,7 @@ def test_policy_rollout_memory_is_bounded():
 
 
 def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
-    return MdpState(l_a, l_h, fork, last)
+    return (l_a, l_h, fork, last)
 
 
 @pytest.mark.parametrize(
@@ -296,7 +310,7 @@ def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
             None,
             "revert has no target in state (2, 1, TIE, H_IN)",
         ),
-        (_state(1, 0), "wait", "unknown action 'wait' in state (1, 0, NO_TIE, H_IN)"),
+        (_state(1, 0), 8, "unknown action index 8 in state (1, 0, NO_TIE, H_IN)"),
         (
             _state(2, 1, last=LastMicro.S_H),
             MdpAction.REVERT,
@@ -309,21 +323,40 @@ def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
             "wait in state (3, 2, NO_TIE, H_IN) leads to (4, 2, NO_TIE, H_IN), a state"
             " the policy (truncation L=3) does not cover",
         ),
+        (_state(1, 0), -1, "unknown action index -1 in state (1, 0, NO_TIE, H_IN)"),
     ],
 )
 def test_policy_rollout_rejects_inapplicable_action(state, action, message):
     # Every state is checked, reachable or not.  state is one state set to
-    # action or a dict of such edits; None drops the state.
-    policy = _honest_policy(3)
+    # action, an MdpAction or an ACTION_ORDER index, or a dict of such
+    # edits; None drops the state's row, and a state with no row gets one.
+    states, policy = _honest_policy(3)
     for edited, choice in (state if isinstance(state, dict) else {state: action}).items():
+        if isinstance(choice, MdpAction):
+            choice = ACTION_ORDER.index(choice)
+        row = (states == edited).all(axis=1)
         if choice is None:
-            del policy[edited]
+            states, policy = states[~row], policy[~row]
+        elif row.any():
+            policy[row] = choice
         else:
-            policy[edited] = choice
+            states, policy = np.vstack([states, edited]), np.append(policy, choice)
     params = ProtocolParams(alpha=0.3)
-    config = SimConfig(params, MdpPolicy(_hand_built(policy, params, 3)), 1_000, seed=4)
+    config = SimConfig(params, MdpPolicy(_hand_built(states, policy, params, 3)), 1_000, seed=4)
     with pytest.raises(ValueError, match=re.escape(message)):
         run(config)
+
+
+def test_policy_rollout_rejects_malformed_arrays():
+    # One action short, and the start state's row twice.
+    states, policy = _honest_policy(3)
+    params = ProtocolParams(alpha=0.3)
+    for result in (
+        _hand_built(states, policy[1:], params, 3),
+        _hand_built(np.vstack([states, states[:1]]), np.append(policy, policy[0]), params, 3),
+    ):
+        with pytest.raises(ValueError, match="one action in each of its states, each state once"):
+            run(SimConfig(params, MdpPolicy(result), 1_000, seed=4))
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.3])
@@ -332,8 +365,8 @@ def test_sm1_rollout_matches_eyal_sirer_closed_form(alpha):
     # exact value of the same policy on the solver's table.
     params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=0.4)
     table = build_transitions(params, truncation=20)
-    policy = {s: sm1_action(table, s) for s in table.states}
-    result = _hand_built(policy, params, 20)
+    policy = policy_of(table, lambda s: sm1_action(table, s))
+    result = _hand_built(table.states, policy, params, 20)
     rep = run(SimConfig(params, MdpPolicy(result), 400_000, seed=1))
     assert abs(rep.relative_revenue - sm1_revenue(alpha, 0.5)) < 4 * rep.std_error
 
@@ -361,8 +394,8 @@ def test_policy_rollout_conserves_fee_units(
         result = solve(table, weights)
     else:
         pick = random.Random(policy_seed).choice
-        policy = {s: pick(table.actions(s)) for s in table.states}
-        result = _hand_built(policy, params, truncation, weights)
+        policy = policy_of(table, lambda s: pick(table.actions(s)))
+        result = _hand_built(table.states, policy, params, truncation, weights)
     rep = run(SimConfig(params, MdpPolicy(result), m, seed))
     keys = rep.selfish_key_rewards + rep.honest_key_rewards
     fees = rep.selfish_fees + rep.honest_fees + rep.orphaned_fee_units
@@ -411,8 +444,9 @@ def _random_policy(truncation: int, policy_seed: int, m: int) -> tuple:
     params = ProtocolParams(alpha=0.35, gamma=0.3, split_ratio=0.6)
     table = build_transitions(params, truncation)
     pick = random.Random(policy_seed).choice
-    policy = {s: pick(table.actions(s)) for s in table.states}
-    result = _hand_built(policy, params, truncation, RewardWeights.from_regime("fee"))
+    policy = policy_of(table, lambda s: pick(table.actions(s)))
+    weights = RewardWeights.from_regime("fee")
+    result = _hand_built(table.states, policy, params, truncation, weights)
     return table, SimConfig(params, MdpPolicy(result), m, seed=5)
 
 
@@ -422,8 +456,7 @@ def test_random_policy_rollout_matches_exact_value_and_reference(truncation, pol
     result = config.strategy.result
     rep = run(config)
     # The solver's transition table gives the policy's exact value.
-    actions = [result.policy[s] for s in table.states]
-    exact = policy_value(table, result.weights, actions)
+    exact = policy_value(table, result.weights, result.policy)
     assert abs(rep.relative_revenue - exact) < 4 * rep.std_error
     # Walking the compiled table one key block at a time gives the same ledger.
     ledger, visits, z, k, _ = _step_by_step(config)
@@ -494,13 +527,14 @@ def test_chain_rules_agree_with_solver_table():
     for truncation in (2, 4, 6):
         table = build_transitions(params, truncation)
         for preferred in MdpAction:
-            policy = {
-                s: preferred if preferred in table.actions(s) else table.actions(s)[0]
-                for s in table.states
-            }
-            result = _hand_built(policy, params, truncation)
+            def choose(s):
+                return preferred if preferred in table.actions(s) else table.actions(s)[0]
+
+            policy = policy_of(table, choose)
+            result = _hand_built(table.states, policy, params, truncation)
             successors, deltas, visits, _ = _compile(result)
-            for i, (state, action) in enumerate(policy.items()):
+            for i, state in enumerate(table.state_tuples):
+                action = ACTION_ORDER[policy[i]]
                 entries = slice(3 * i, 3 * i + 3)
                 on_boundary = truncation in (state.l_a, state.l_h)
                 if action == MdpAction.REVERT:
@@ -517,7 +551,7 @@ def test_chain_rules_agree_with_solver_table():
                 for outcome, codes in zip(outcomes, codes_by_count[len(outcomes)]):
                     for code in codes:
                         e = 3 * i + code
-                        target = table.states[successors[e] // 3]
+                        target = table.state_tuples[successors[e] // 3]
                         r_a, r_h, t_a, t_h, orphaned = deltas[e].tolist()
                         assert target == outcome.next_state, (state, action, code)
                         got = (r_h, t_h, r_a, t_a)
