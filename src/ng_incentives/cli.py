@@ -107,7 +107,7 @@ def _base_params(args) -> ProtocolParams:
 
 
 def cmd_bounds(args) -> tuple[dict, list[dict]]:
-    if args.alpha_grid:
+    if args.alpha_grid is not None:
         grid = parse_grid(args.alpha_grid)
     else:
         grid = [] if args.alpha is None else [args.alpha]
@@ -139,7 +139,7 @@ def cmd_bounds(args) -> tuple[dict, list[dict]]:
 
 def cmd_revenue(args) -> tuple[dict, list[dict]]:
     params = _base_params(args)
-    grid = parse_grid(args.rho_grid) if args.rho_grid else [args.rho]
+    grid = parse_grid(args.rho_grid) if args.rho_grid is not None else [args.rho]
     attacks = ("inclusion", "extension") if args.attack == "both" else (args.attack,)
     rows = []
     for attack in attacks:
@@ -169,9 +169,9 @@ def cmd_mdp(args) -> tuple[dict, list[dict]]:
             raise UsageError(f"argument --{scalar}-grid: not allowed with argument --{scalar}")
     params = _base_params(args)
     regimes = args.regime if args.regime else list(REGIMES)
-    if args.r_grid:
+    if args.r_grid is not None:
         points = [(params.alpha, r) for r in parse_grid(args.r_grid)]
-    elif args.alpha_grid:
+    elif args.alpha_grid is not None:
         points = [(a, params.split_ratio) for a in parse_grid(args.alpha_grid)]
     else:
         points = [(params.alpha, params.split_ratio)]

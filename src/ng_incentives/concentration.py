@@ -9,6 +9,8 @@ alpha*beta*(m-1).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +57,7 @@ def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     return 4.0 * math.exp(-delta * delta * ab * (m - 1) / 4.0)
 
 
-# Trials per vectorized batch; bounds the (batch, m) draw buffer.
+# Rows of trials held at once, over all threads; bounds the (batch, m) buffers.
 _BATCH = 64
 
 
@@ -77,11 +79,18 @@ def empirical_pair_summary(
     by more than the delta fraction, plus the mean of Z itself.
 
     Each sequence draws every bit Bernoulli(alpha) with the first bit forced
-    to 0.  Trials run in batches of _BATCH rows drawn row-major from one
-    generator, so the result depends on the seed and not on the batch size.
-    The draws, bits and (1,0) pair flags of a batch go into buffers
-    allocated once, so memory is bounded by _BATCH * m whatever the number
-    of trials.  Every parameter is checked before anything is drawn.
+    to 0.  The bits come row-major from one PCG64 stream seeded with
+    ``seed``: every double that ``Generator.random`` returns takes exactly
+    one 64-bit output, so trial t always starts at stream offset t*m.  The
+    trials are therefore split into W contiguous parts, W being the CPUs the
+    process may run on (capped at trials and _BATCH), and each part runs on
+    its own thread from a generator advanced to its first trial's offset.
+    The hit count and the sum of Z are integer sums, so the result depends
+    on the seed alone, not on W or on the batch size.  The parts share the
+    _BATCH rows of draw, bit and (1,0) pair-flag buffers, all allocated
+    before any thread starts, so memory is bounded by _BATCH * m whatever
+    the number of trials.  Every parameter is checked before anything is
+    drawn, and an exception in any part is raised here.
     """
     if trials < 1:
         raise SequenceError("trials must be at least 1")
@@ -91,18 +100,71 @@ def empirical_pair_summary(
         raise SequenceError("m must be at least 2")
     if not 0.0 < delta < 1.0:
         raise SequenceError("delta must be in (0,1)")
-    rng = np.random.default_rng(seed)
     center = alpha * (1.0 - alpha) * (m - 1)
     threshold = delta * center
     rows = min(_BATCH, trials)
+    workers = min(_cpus(), rows)
     u = np.empty((rows, m))
     x = np.empty((rows, m), dtype=bool)
     pairs = np.empty((rows, m - 1), dtype=bool)
+    stop = threading.Event()  # set once a part fails, so the others quit early
+    parts = []
+    for j in range(workers):
+        lo, hi = trials * j // workers, trials * (j + 1) // workers
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(lo * m)
+        r = slice(rows * j // workers, rows * (j + 1) // workers)
+        parts.append((rng, alpha, center, threshold, hi - lo, u[r], x[r], pairs[r], stop))
+    results: list = [None] * workers
+
+    def run_part(j: int) -> None:
+        try:
+            results[j] = _count_trials(*parts[j])
+        except BaseException as exc:  # raised again below, in the caller
+            results[j] = exc
+            stop.set()
+
+    threads = []
+    try:
+        for j in range(1, workers):
+            t = threading.Thread(target=run_part, args=(j,))
+            t.start()
+            threads.append(t)
+        run_part(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for t in threads:
+            t.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    hits = sum(h for h, _ in results)
+    z_sum = sum(z for _, z in results)
+    return PairDeviationSummary(
+        deviation_fraction=hits / trials,
+        mean_z=z_sum / trials,
+        expected_pairs=center,
+    )
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _count_trials(rng, alpha, center, threshold, trials, u, x, pairs, stop):
+    """(deviation hits, sum of Z) over the next ``trials`` rows of ``rng``,
+    in batches of the rows of u, x and pairs; stops once ``stop`` is set."""
     hits = 0
     z_sum = 0
     remaining = trials
-    while remaining > 0:
-        n = min(_BATCH, remaining)
+    while remaining > 0 and not stop.is_set():
+        n = min(len(u), remaining)
         rng.random(out=u[:n])
         np.less(u[:n], alpha, out=x[:n])
         x[:n, 0] = False
@@ -111,8 +173,4 @@ def empirical_pair_summary(
         hits += int(np.count_nonzero(np.abs(z - center) > threshold))
         z_sum += int(z.sum())
         remaining -= n
-    return PairDeviationSummary(
-        deviation_fraction=hits / trials,
-        mean_z=z_sum / trials,
-        expected_pairs=center,
-    )
+    return hits, z_sum

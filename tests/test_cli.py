@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from ng_incentives import concentration
 from ng_incentives.cli import main, parse_grid
 
 FIXTURE = str(Path(__file__).parent / "data" / "fees_fixture.csv")
@@ -113,6 +115,10 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["mdp", "--r-grid", ","],
         ["mdp", "--alpha-grid", ","],
         ["revenue", "--rho-grid", ","],
+        ["mdp", "--alpha-grid", "", "--L", "4", "--regime", "key"],
+        ["mdp", "--r-grid", "", "--L", "4", "--regime", "key"],
+        ["revenue", "--alpha", "0.3", "--r", "0.2", "--rho-grid", "", "--attack", "inclusion"],
+        ["bounds", "--alpha-grid", ""],
         # Parameters come from flags only.
         ["revenue", "--config", "CONFIG", "--rho", "1", "--attack", "inclusion"],
         ["mdp", "--config", "CONFIG", "--regime", "fee", "--L", "4"],
@@ -266,6 +272,30 @@ def test_pairs_row(capsys):
     assert 0.0 <= row["empirical_deviation"] <= 1.0
     assert row["expected_pairs"] == pytest.approx(0.3 * 0.7 * 1000)
     assert row["mean_z"] == pytest.approx(row["expected_pairs"], rel=0.05)
+
+
+def test_pairs_worker_failure_is_one_error_line(monkeypatch, capsys):
+    # The parts run on threads of their own, not by the caller, fail.
+    count_trials = concentration._count_trials
+    failed_on = []
+
+    def fails_off_the_calling_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            failed_on.append(threading.current_thread())
+            raise MemoryError("injected")
+        return count_trials(*args)
+
+    monkeypatch.setattr(concentration, "_cpus", lambda: 3)
+    monkeypatch.setattr(concentration, "_count_trials", fails_off_the_calling_thread)
+    before = set(threading.enumerate())
+    code, out, err = _run(
+        capsys,
+        "pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--trials", "100",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: injected\n"
+    assert len(failed_on) == 2
+    assert set(threading.enumerate()) == before  # every part's thread has ended
 
 
 def test_fees_outputs_cdf_and_classification(capsys):

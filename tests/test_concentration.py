@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,43 @@ def test_empirical_deviation_matches_direct_counting():
         z_sum += z
     assert summary.deviation_fraction == hits / trials
     assert summary.mean_z == z_sum / trials
+
+
+def _direct_summary(alpha, m, delta, trials, seed):
+    # count_pairs over one row-major draw of all trials from one stream.
+    rng = np.random.default_rng(seed)
+    center = alpha * (1 - alpha) * (m - 1)
+    hits = z_sum = 0
+    x = rng.random((trials, m)) < alpha
+    x[:, 0] = False
+    for row in x:
+        z = cc.count_pairs(row.astype(int)).z
+        hits += abs(z - center) > delta * center
+        z_sum += z
+    return cc.PairDeviationSummary(hits / trials, z_sum / trials, center)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "trials, m",
+    [
+        (7, 500),  # not divisible by 2, 3 or 5
+        (2, 500),  # fewer trials than workers
+        (1, 500),
+        (50, 2),  # one pair position
+        (700, 60),  # more than one batch per worker
+    ],
+)
+def test_empirical_summary_does_not_depend_on_worker_count(monkeypatch, workers, trials, m):
+    monkeypatch.setattr(cc, "_cpus", lambda: workers)
+    alpha, delta, seed = 0.4, 0.3, 11
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+    try:
+        summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
+    finally:
+        sys.setswitchinterval(switch)
+    assert summary == _direct_summary(alpha, m, delta, trials, seed)
 
 
 def test_empirical_summary_memory_is_bounded():
