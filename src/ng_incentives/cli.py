@@ -97,6 +97,17 @@ def parse_grid(spec: str) -> list[float]:
     return grid
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds only with non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _base_params(args) -> ProtocolParams:
     # revenue has no --gamma flag.
     given = dict(alpha=args.alpha, gamma=getattr(args, "gamma", None), split_ratio=args.r)
@@ -176,11 +187,13 @@ def cmd_mdp(args) -> tuple[dict, list[dict]]:
     else:
         points = [(params.alpha, params.split_ratio)]
     rows = []
+    previous = {}  # each regime's last result, the next grid point's start
     for alpha, r in points:
         point = ProtocolParams(alpha=alpha, gamma=params.gamma, split_ratio=r)
         table = build_transitions(point, args.L)
         for regime in regimes:
-            result = solve(table, RewardWeights.from_regime(regime))
+            result = solve(table, RewardWeights.from_regime(regime), previous.get(regime))
+            previous[regime] = result
             rows.append(
                 {
                     "alpha": alpha,
@@ -356,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--m", type=int, default=1_000_000, help="key-block horizon")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--interval-mode",
         choices=INTERVAL_MODES,
@@ -374,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_pairs)
 

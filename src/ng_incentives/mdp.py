@@ -41,12 +41,14 @@ The optimal relative revenue solves a ratio objective by Dinkelbach
 iteration: relative value iteration maximizes the long-run average of
 (selfish reward - w * total reward), and the exact ratio of the policy
 greedy in its last full sweep, from the stationary distribution of its
-chain, becomes the next w.  The value iteration is modified policy
-iteration (Puterman and Shin, Management Science 1978): each full Bellman
-sweep that fails the span test is followed by a fixed number of sweeps of
-the greedy policy's own chain, which has about a quarter of the nonzeros.
-Only a full sweep ends it, and its span test bounds the optimal gain
-whatever values it starts from, so the policy sweeps save full sweeps
+chain, becomes the next w.  A solve may start from a neighbouring
+SolveResult at the same truncation, as a grid scan does: its policy's exact
+value on the new table is the first w.  The value iteration is modified
+policy iteration (Puterman and Shin, Management Science 1978): each full
+Bellman sweep that fails the span test is followed by a fixed number of
+sweeps of the greedy policy's own chain, which has about a quarter of the
+nonzeros.  Only a full sweep ends it, and its span test bounds the optimal
+gain whatever values it starts from, so the policy sweeps save full sweeps
 without loosening the gain's error bound.
 """
 from __future__ import annotations
@@ -323,8 +325,11 @@ class SolveResult:
     iterations, each summed over the steps; and the returned policy's
     stationary mass on the truncation boundary (l_a == L or l_h == L),
     which is small when L is large enough.  policy is the ACTION_ORDER
-    index taken in each row of states, the table's own state array; both
-    are read-only and left out of ==, which cannot compare arrays."""
+    index taken in each row of states, the table's own state array; bias
+    is the value iteration's last relative values and distribution the
+    policy's stationary distribution, which a solve started from this
+    result begins with.  The arrays are read-only and left out of ==,
+    which cannot compare them."""
 
     revenue: float
     policy: np.ndarray = field(compare=False)
@@ -336,6 +341,8 @@ class SolveResult:
     rvi_sweeps: int
     eval_iterations: int
     boundary_mass: float
+    bias: np.ndarray = field(compare=False, repr=False)
+    distribution: np.ndarray = field(compare=False, repr=False)
 
 
 class SolverError(RuntimeError):
@@ -376,8 +383,9 @@ def _gain(
     bounds the optimal gain whatever v it starts from, so the policy sweeps
     leave the returned gain's error bound as it was.  The damping mixes in a
     self-loop, which removes periodicity without changing the average
-    reward.  Returns (gain, bias values, flat rows and transition rows of
-    the policy greedy in the last full sweep, full sweeps).
+    reward.  Returns (gain, the largest entry of Tv - v in the last full
+    sweep, bias values, flat rows and transition rows of the policy greedy
+    in the last full sweep, full sweeps).
     """
     n = len(table.states)
     v = values
@@ -394,7 +402,7 @@ def _gain(
         v = v + _DAMPING * diff
         v -= v[0]
         if hi - lo < _EPS_INNER:
-            return (hi + lo) / 2.0, v, rows, chain, sweep
+            return (hi + lo) / 2.0, hi, v, rows, chain, sweep
         for _ in range(_POLICY_SWEEPS):
             v = (1.0 - _DAMPING) * v + _DAMPING * (chain_reward + chain @ v)
             v -= v[0]
@@ -425,7 +433,9 @@ def _stationary(chain, x: np.ndarray) -> tuple[np.ndarray, int]:
     raise SolverError("policy evaluation did not converge", _MAX_EVAL, change)
 
 
-def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
+def solve(
+    table: TransitionTable, weights: RewardWeights, start: SolveResult | None = None
+) -> SolveResult:
     """Optimal relative revenue over the truncated state space.
 
     Dinkelbach steps from w = 0: value iteration warm-started from the last
@@ -436,6 +446,19 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     ratio stops rising.  revenue is the exact ratio of the best policy
     evaluated, which is the one returned, with the diagnostics SolveResult
     lists.
+
+    A start, a result solved at the same truncation (a neighbouring grid
+    point, say), replaces w = 0 by the exact ratio of its policy on this
+    table, evaluated from its distribution, and seeds the value iteration
+    with its bias.  That policy is feasible here, so its ratio is at most
+    the optimum: Dinkelbach's w must stay a lower bound, since a w above
+    the optimum would stop the steps at a worse policy.
+
+    Once a policy has been evaluated, a step whose last full sweep has
+    every entry of Tv - v at most 0 ends the solve without evaluating its
+    greedy policy.  For any policy, r + Pv <= Tv <= v + max(Tv - v), so its
+    gain is at most max(Tv - v) (Puterman 1994, section 8.5); at most 0
+    means no policy's ratio exceeds w, the best ratio already evaluated.
     """
     r_self, r_total = table.expected_rewards(weights)
     # Unavailable pairs never win a max: their reward -inf - w * 0 stays -inf.
@@ -446,9 +469,21 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
     x[0] = 1.0
     w, best, best_rows, best_x = 0.0, -np.inf, None, None
     sweeps = evaluations = 0
+    if start is not None:
+        if start.truncation != table.truncation:
+            raise ValueError(
+                f"start was solved at truncation L={start.truncation},"
+                f" the table has L={table.truncation}"
+            )
+        best_rows = start.policy * n + np.arange(n)
+        best_x, evaluations = _stationary(table.transition[best_rows], start.distribution)
+        w = best = float(best_x @ r_self[best_rows]) / float(best_x @ r_total[best_rows])
+        v, x = start.bias, best_x
     for outer in count(1):
-        g, v, rows, chain, used = _gain(table, r_self - w * r_total, v)
+        g, hi, v, rows, chain, used = _gain(table, r_self - w * r_total, v)
         sweeps += used
+        if hi <= 0.0 and best_rows is not None:
+            break
         x, used = _stationary(chain, x)
         evaluations += used
         ratio = float(x @ r_self[rows]) / float(x @ r_total[rows])
@@ -458,7 +493,8 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
             break
         w = ratio
     policy = best_rows // n
-    policy.flags.writeable = False
+    for array in (policy, v, best_x):
+        array.flags.writeable = False
     return SolveResult(
         revenue=best,
         policy=policy,
@@ -470,4 +506,6 @@ def solve(table: TransitionTable, weights: RewardWeights) -> SolveResult:
         rvi_sweeps=sweeps,
         eval_iterations=evaluations,
         boundary_mass=float(best_x[table._skeleton.boundary].sum()),
+        bias=v,
+        distribution=best_x,
     )

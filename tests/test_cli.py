@@ -131,6 +131,9 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["mdp", "--r", "0.3", "--r-grid", "0.1:0.2:0.1", "--L", "4", "--regime", "key"],
         ["bounds", "--alpha", "0.3", "--alpha-grid", "0.1:0.2:0.1"],
         ["revenue", "--rho", "0.5", "--rho-grid", "0:1:0.5"],
+        # numpy seeds only with non-negative integers; the error names the flag.
+        ["simulate", "--strategy", "honest", "--seed", "-1"],
+        ["pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--seed", "-1"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -140,6 +143,8 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    if "--seed" in argv:
+        assert "--seed" in err
 
 
 def test_help_still_exits_0(capsys):
@@ -187,6 +192,34 @@ def test_mdp_single_point(capsys):
     (row,) = _json_payload(out)
     assert row["revenue"] == pytest.approx(0.1, abs=1e-3)
     assert row["regime"] == "fee" and row["gamma"] == 0.5 and row["r"] == 0.4
+
+
+@pytest.mark.parametrize(
+    "fixed, flag, spec, regimes",
+    [
+        (["--alpha", "0.2321"], "--r", "0:1:0.1", ("fee", "equal")),
+        ([], "--alpha", "0.30:0.45:0.05", ("fee", "key")),
+    ],
+)
+def test_mdp_grid_rows_match_single_point_runs(capsys, fixed, flag, spec, regimes):
+    # A grid row after the first of its regime starts from that regime's
+    # previous result; an invocation per point solves every row cold.
+    flags = [*fixed, *(a for regime in regimes for a in ("--regime", regime))]
+    code, out, _ = _run(capsys, "mdp", *flags, f"{flag}-grid", spec)
+    assert code == 0
+    rows = _json_payload(out)
+    single = []
+    for value in parse_grid(spec):
+        code, out, _ = _run(capsys, "mdp", *flags, flag, repr(value))
+        assert code == 0
+        single += _json_payload(out)
+
+    def point(row):
+        return row["alpha"], row["regime"], row["r"], row["gamma"]
+
+    assert list(map(point, rows)) == list(map(point, single))
+    for row, cold in zip(rows, single):
+        assert abs(row["revenue"] - cold["revenue"]) <= 1e-10
 
 
 def test_mdp_rejects_unknown_regime(capsys):

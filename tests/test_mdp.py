@@ -441,18 +441,18 @@ def test_policy_value_ignores_zero_probability_outcomes():
     assert value == pytest.approx(reference, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "alpha, gamma, r, regime",
-    [
-        (0.2321, 0.5, 0.1, "fee"),
-        (0.2321, 0.5, 0.5, "equal"),
-        (0.3, 0.5, 0.4, "key"),
-        (0.4, 1.0, 0.4, "fee"),
-        (0.4, 1.0, 0.4, "key"),
-        (0.45, 0.5, 0.4, "fee"),
-        (0.45, 0.0, 0.4, "key"),
-    ],
-)
+CERTIFIED_GRID = [
+    (0.2321, 0.5, 0.1, "fee"),
+    (0.2321, 0.5, 0.5, "equal"),
+    (0.3, 0.5, 0.4, "key"),
+    (0.4, 1.0, 0.4, "fee"),
+    (0.4, 1.0, 0.4, "key"),
+    (0.45, 0.5, 0.4, "fee"),
+    (0.45, 0.0, 0.4, "key"),
+]
+
+
+@pytest.mark.parametrize("alpha, gamma, r, regime", CERTIFIED_GRID)
 def test_no_policy_beats_the_returned_revenue(alpha, gamma, r, regime):
     # No policy earns more than revenue exactly when the optimal gain of
     # r_self - revenue * r_total is at most 0; the reference value iteration
@@ -463,6 +463,40 @@ def test_no_policy_beats_the_returned_revenue(alpha, gamma, r, regime):
     result = solve(table, weights)
     r_self, r_total = table.expected_rewards(weights)
     assert abs(optimal_gain(table, r_self - result.revenue * r_total)) <= mdp._EPS_INNER
+
+
+@pytest.mark.parametrize("start", ["neighbour", "far"])
+@pytest.mark.parametrize("alpha, gamma, r, regime", CERTIFIED_GRID)
+def test_warm_started_solve_is_certified_optimal(alpha, gamma, r, regime, start):
+    # A start from a neighbouring grid point in the same regime (r - 0.1 on
+    # the r-grid points, alpha - 0.05 elsewhere) or from far away
+    # (alpha = 0.1) must end at the optimum, with revenue the exact value
+    # of the returned policy.  1e-11 is ten times the largest gap between
+    # a cold solve's revenue and policy_value on this grid (1.04e-12, alpha
+    # = 0.45 fee): the evaluation stops on its L1 step change, not its error.
+    if start == "far":
+        origin = (0.1, r)
+    else:
+        origin = (alpha, r - 0.1) if alpha == 0.2321 else (alpha - 0.05, r)
+    weights = RewardWeights.from_regime(regime)
+    first = ProtocolParams(alpha=origin[0], gamma=gamma, split_ratio=origin[1])
+    earlier = solve(build_transitions(first, truncation=20), weights)
+    params = ProtocolParams(alpha=alpha, gamma=gamma, split_ratio=r)
+    table = build_transitions(params, truncation=20)
+    result = solve(table, weights, earlier)
+    r_self, r_total = table.expected_rewards(weights)
+    assert abs(optimal_gain(table, r_self - result.revenue * r_total)) <= mdp._EPS_INNER
+    assert abs(result.revenue - policy_value(table, weights, result.policy)) < 1e-11
+    assert closed_classes(table, result.policy) == 1
+    assert result.params == params
+    assert not (result.bias.flags.writeable or result.distribution.flags.writeable)
+
+
+def test_start_from_another_truncation_is_rejected():
+    weights = RewardWeights.from_regime("fee")
+    start = solve(build_transitions(PARAMS, truncation=8), weights)
+    with pytest.raises(ValueError, match="L=8.*L=20"):
+        solve(build_transitions(PARAMS, truncation=20), weights, start)
 
 
 @pytest.mark.parametrize("regime", ["fee", "key"])

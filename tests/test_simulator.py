@@ -252,6 +252,9 @@ def _hand_built(
         rvi_sweeps=0,
         eval_iterations=0,
         boundary_mass=0.0,
+        # The cold solve's seeds: zero bias, all mass on the start state.
+        bias=np.zeros(len(states)),
+        distribution=np.eye(1, len(states)).ravel(),
     )
 
 
