@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, closedform, concentration, feescan
@@ -108,6 +109,16 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _edges(text: str) -> list[float]:
+    """An --edges value: comma-separated numbers."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _base_params(args) -> ProtocolParams:
     # revenue has no --gamma flag.
     given = dict(alpha=args.alpha, gamma=getattr(args, "gamma", None), split_ratio=args.r)
@@ -129,16 +140,11 @@ def cmd_bounds(args) -> tuple[dict, list[dict]]:
             raise UsageError(f"alpha grid values must lie in [0, 0.5), got {a}")
     rows = []
     for a in grid:
-        b = closedform.ratio_bounds(a)
         interval = closedform.feasible_interval(a, args.transaction_class)
         rows.append(
             {
                 "alpha": a,
-                "inclusion_lower_v1": b.inclusion_lower_v1,
-                "inclusion_lower_v2": b.inclusion_lower_v2,
-                "extension_upper": b.extension_upper,
-                "capacity_lower": b.capacity_lower,
-                "capacity_upper": b.capacity_upper,
+                **asdict(closedform.ratio_bounds(a)),
                 "feasible_lower": interval.lower,
                 "feasible_upper": interval.upper,
                 "empty": interval.empty,
@@ -239,24 +245,20 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         "seed": args.seed,
         "m": args.m,
     }
-    return meta, [report.to_dict()]
+    return meta, [asdict(report)]
 
 
 def cmd_pairs(args) -> tuple[dict, list[dict]]:
     summary = concentration.empirical_pair_summary(
         args.alpha, args.m, args.delta, args.trials, args.seed
     )
-    if 0.0 < args.alpha < 1.0:
-        bound = concentration.pair_deviation_bound(args.alpha, args.m, args.delta)
-    else:
-        bound = 4.0  # degenerate alpha: the bound is trivial
     row = {
         "alpha": args.alpha,
         "m": args.m,
         "delta": args.delta,
         "trials": args.trials,
         "empirical_deviation": summary.deviation_fraction,
-        "analytic_bound": bound,
+        "analytic_bound": concentration.pair_deviation_bound(args.alpha, args.m, args.delta),
         "mean_z": summary.mean_z,
         "expected_pairs": summary.expected_pairs,
     }
@@ -266,7 +268,7 @@ def cmd_pairs(args) -> tuple[dict, list[dict]]:
 
 def cmd_fees(args) -> tuple[dict, list[dict]]:
     fees = feescan.load_fees(args.input)
-    edges = [float(x) for x in args.edges.split(",") if x.strip()]
+    edges = args.edges
     dist = feescan.distribution(fees, edges)
     cls = feescan.classify(fees, args.whale_threshold)
     rows = []
@@ -395,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True)
     p.add_argument(
         "--edges",
+        type=_edges,
         default="0.00001,0.0001,0.0005,0.001,0.01",
         help="comma-separated ascending bucket edges",
     )

@@ -45,14 +45,15 @@ def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     positions), each i.i.d. with mean ab(m-1)/2.  Applying the per-class
     bound to the upper and lower tail of each class gives the explicit
     constant 4 * exp(-delta^2 * ab * (m-1) / 4).  The same bound holds for K
-    by the symmetry 1 <-> 0 with alpha <-> beta.
+    by the symmetry 1 <-> 0 with alpha <-> beta.  At alpha in {0, 1} ab is 0,
+    the event is empty and the bound is exactly 4.0.
     """
     if not 0.0 < delta < 1.0:
         raise SequenceError("delta must be in (0,1)")
     if m < 2:
         raise SequenceError("m must be at least 2")
-    if not 0.0 < alpha < 1.0:
-        raise SequenceError("alpha must be in (0,1)")
+    if not 0.0 <= alpha <= 1.0:
+        raise SequenceError("alpha out of [0,1]")
     ab = alpha * (1.0 - alpha)
     return 4.0 * math.exp(-delta * delta * ab * (m - 1) / 4.0)
 
@@ -83,14 +84,17 @@ def empirical_pair_summary(
     ``seed``: every double that ``Generator.random`` returns takes exactly
     one 64-bit output, so trial t always starts at stream offset t*m.  The
     trials are therefore split into W contiguous parts, W being the CPUs the
-    process may run on (capped at trials and _BATCH), and each part runs on
-    its own thread from a generator advanced to its first trial's offset.
-    The hit count and the sum of Z are integer sums, so the result depends
-    on the seed alone, not on W or on the batch size.  The parts share the
-    _BATCH rows of draw, bit and (1,0) pair-flag buffers, all allocated
-    before any thread starts, so memory is bounded by _BATCH * m whatever
-    the number of trials.  Every parameter is checked before anything is
-    drawn, and an exception in any part is raised here.
+    process may run on (capped at trials and _BATCH), and one
+    ThreadPoolExecutor of W threads runs every part, each from a generator
+    advanced to its first trial's offset.  The hit count and the sum of Z
+    are integer sums, so the result depends on the seed alone, not on W or
+    on the batch size.  The parts share the _BATCH rows of draw, bit and
+    (1,0) pair-flag buffers, all allocated before any part starts, so memory
+    is bounded by _BATCH * m whatever the number of trials.  Every parameter
+    is checked before anything is drawn.  A failing part sets the stop event
+    and its exception is raised here; an interrupted caller sets it too.
+    Either way the other parts quit at their next batch, and all have ended
+    before this returns or raises.
     """
     if trials < 1:
         raise SequenceError("trials must be at least 1")
@@ -107,39 +111,30 @@ def empirical_pair_summary(
     u = np.empty((rows, m))
     x = np.empty((rows, m), dtype=bool)
     pairs = np.empty((rows, m - 1), dtype=bool)
-    stop = threading.Event()  # set once a part fails, so the others quit early
-    parts = []
-    for j in range(workers):
-        lo, hi = trials * j // workers, trials * (j + 1) // workers
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(lo * m)
-        r = slice(rows * j // workers, rows * (j + 1) // workers)
-        parts.append((rng, alpha, center, threshold, hi - lo, u[r], x[r], pairs[r], stop))
-    results: list = [None] * workers
+    stop = threading.Event()  # set by a failing part or an interrupted caller
 
-    def run_part(j: int) -> None:
+    def part(j: int) -> tuple[int, int]:
         try:
-            results[j] = _count_trials(*parts[j])
-        except BaseException as exc:  # raised again below, in the caller
-            results[j] = exc
+            lo, hi = trials * j // workers, trials * (j + 1) // workers
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(lo * m)
+            r = slice(rows * j // workers, rows * (j + 1) // workers)
+            return _count_trials(
+                rng, alpha, center, threshold, hi - lo, u[r], x[r], pairs[r], stop
+            )
+        except BaseException:
             stop.set()
+            raise
 
-    threads = []
-    try:
-        for j in range(1, workers):
-            t = threading.Thread(target=run_part, args=(j,))
-            t.start()
-            threads.append(t)
-        run_part(0)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for t in threads:
-            t.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+    # Deferred: it imports logging and queue, which the other commands never need.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            results = list(pool.map(part, range(workers)))
+        except BaseException:
+            stop.set()
+            raise
     hits = sum(h for h, _ in results)
     z_sum = sum(z for _, z in results)
     return PairDeviationSummary(

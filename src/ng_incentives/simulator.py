@@ -20,7 +20,7 @@ which share a key block, into the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -109,9 +109,6 @@ class SimReport:
     keyblocks: int
     seed: int
     boundary_visits: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def run(config: SimConfig) -> SimReport:
@@ -219,7 +216,7 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
         relative_revenue=revenue,
         std_error=_batch_std_error(batch_selfish, batch_total, revenue),
         selfish_key_rewards=selfish_blocks,
-        honest_key_rewards=m - selfish_blocks,
+        honest_key_rewards=m - 1 - selfish_blocks,
         selfish_fees=selfish_fees,
         honest_fees=honest_fees,
         orphaned_fee_units=orphaned,

@@ -244,8 +244,9 @@ def interval_reference(config: SimConfig) -> SimReport:
     return SimReport(
         relative_revenue=revenue,
         std_error=std_error,
-        selfish_key_rewards=int(np.count_nonzero(selfish)),
-        honest_key_rewards=int(np.count_nonzero(~selfish)),
+        # Interval i pays block i + 1; block 0, the starting ancestor, is unpaid.
+        selfish_key_rewards=int(np.count_nonzero(nxt)),
+        honest_key_rewards=int(np.count_nonzero(~nxt)),
         selfish_fees=float(selfish_fees.sum()),
         honest_fees=float(honest_fees.sum()),
         orphaned_fee_units=orphaned,

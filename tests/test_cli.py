@@ -134,6 +134,7 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         # numpy seeds only with non-negative integers; the error names the flag.
         ["simulate", "--strategy", "honest", "--seed", "-1"],
         ["pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--seed", "-1"],
+        ["fees", "--input", FIXTURE, "--edges", "x,1"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -308,18 +309,15 @@ def test_pairs_row(capsys):
 
 
 def test_pairs_worker_failure_is_one_error_line(monkeypatch, capsys):
-    # The parts run on threads of their own, not by the caller, fail.
-    count_trials = concentration._count_trials
+    # Every part runs on a pool thread, none on the caller; each one fails.
     failed_on = []
 
-    def fails_off_the_calling_thread(*args):
-        if threading.current_thread() is not threading.main_thread():
-            failed_on.append(threading.current_thread())
-            raise MemoryError("injected")
-        return count_trials(*args)
+    def fails(*args):
+        failed_on.append(threading.current_thread())
+        raise MemoryError("injected")
 
     monkeypatch.setattr(concentration, "_cpus", lambda: 3)
-    monkeypatch.setattr(concentration, "_count_trials", fails_off_the_calling_thread)
+    monkeypatch.setattr(concentration, "_count_trials", fails)
     before = set(threading.enumerate())
     code, out, err = _run(
         capsys,
@@ -327,7 +325,7 @@ def test_pairs_worker_failure_is_one_error_line(monkeypatch, capsys):
     )
     assert code == 1 and out == ""
     assert err == "error: injected\n"
-    assert len(failed_on) == 2
+    assert failed_on and threading.main_thread() not in failed_on
     assert set(threading.enumerate()) == before  # every part's thread has ended
 
 
@@ -346,6 +344,12 @@ def test_fees_outputs_cdf_and_classification(capsys):
     assert frac[0]["value"] == 0.778
     buckets = [r for r in rows if r["kind"] == "bucket"]
     assert sum(r["value"] for r in buckets) == 1000
+
+
+def test_fees_non_numeric_edge_names_the_flag(capsys):
+    code, out, err = _run(capsys, "fees", "--input", FIXTURE, "--edges", "x,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --edges:") and "'x,1'" in err
 
 
 def test_fees_parse_error_exits_nonzero(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -35,8 +36,12 @@ def test_pair_deviation_bound_explicit_constant():
 
 
 def test_pair_deviation_bound_domain():
-    with pytest.raises(cc.SequenceError):
-        cc.pair_deviation_bound(0.0, 100, 0.1)
+    # At alpha in {0, 1} no pair can occur: the bound is the bare constant.
+    assert cc.pair_deviation_bound(0.0, 100, 0.1) == 4.0
+    assert cc.pair_deviation_bound(1.0, 100, 0.1) == 4.0
+    for alpha in (-0.1, 1.1, math.nan):
+        with pytest.raises(cc.SequenceError, match="alpha"):
+            cc.pair_deviation_bound(alpha, 100, 0.1)
     with pytest.raises(cc.SequenceError):
         cc.pair_deviation_bound(0.3, 1, 0.1)
     with pytest.raises(cc.SequenceError):
@@ -118,6 +123,39 @@ def test_empirical_summary_does_not_depend_on_worker_count(monkeypatch, workers,
     finally:
         sys.setswitchinterval(switch)
     assert summary == _direct_summary(alpha, m, delta, trials, seed)
+
+
+def test_failing_part_stops_its_sibling_at_the_next_batch(monkeypatch):
+    # The first part to start waits until its sibling has started too, so
+    # the two run on two threads at once, then fails.  The sibling blocks
+    # until the stop event is set and only then runs its real batch loop,
+    # which must return before drawing a single row.
+    count_trials = cc._count_trials
+    lock = threading.Lock()
+    calls = []
+    sibling_started = threading.Event()
+    sibling = []
+
+    def patched(*args):
+        stop = args[-1]
+        with lock:
+            calls.append(None)
+            first = len(calls) == 1
+        if first:
+            assert sibling_started.wait(10)
+            raise MemoryError("injected")
+        sibling_started.set()
+        sibling.append(stop.wait(10))
+        sibling.append(count_trials(*args))
+        return sibling[-1]
+
+    monkeypatch.setattr(cc, "_cpus", lambda: 2)
+    monkeypatch.setattr(cc, "_count_trials", patched)
+    before = set(threading.enumerate())
+    with pytest.raises(MemoryError, match="injected"):
+        cc.empirical_pair_summary(0.3, 101, 0.2, trials=100, seed=0)
+    assert sibling == [True, (0, 0)]
+    assert set(threading.enumerate()) == before
 
 
 def test_empirical_summary_memory_is_bounded():

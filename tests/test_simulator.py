@@ -21,7 +21,7 @@ from ng_incentives.mdp import (
     enumerate_states,
     solve,
 )
-from ng_incentives.model import ProtocolParams, RewardWeights
+from ng_incentives.model import REGIMES, ProtocolParams, RewardWeights
 from ng_incentives.simulator import (
     Extension,
     Honest,
@@ -144,7 +144,8 @@ def test_interval_report_matches_per_interval_reference(m, interval_mode):
     for strategy, w, alpha, r in grid:
         params = ProtocolParams(alpha=alpha, split_ratio=r)
         config = SimConfig(params, strategy, m, 5, interval_mode, w)
-        got, want = run(config).to_dict(), interval_reference(config).to_dict()
+        got = dataclasses.asdict(run(config))
+        want = dataclasses.asdict(interval_reference(config))
         assert got.keys() == want.keys()
         for name, value in want.items():
             if isinstance(value, int):
@@ -191,6 +192,26 @@ def test_policy_rollout_tracks_solver(solved):
         result.revenue, abs=max(0.006, 4 * rep.std_error)
     )
     assert rep.relative_revenue > params.alpha  # profitable above threshold
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_reported_revenue_is_the_ratio_of_reported_rewards(regime):
+    # Both simulators: the key-reward and fee fields of a report are the
+    # ledger its relative_revenue is the weighted selfish share of.
+    weights = RewardWeights.from_regime(regime)
+    kw, fw = weights.key_weight, weights.fee_weight
+    params = ProtocolParams(alpha=0.35, gamma=0.5, split_ratio=0.4)
+    policy = MdpPolicy(solve(build_transitions(params, truncation=12), weights))
+    for strategy in (Honest(), Inclusion(0.5), Extension(0.5), policy):
+        for m in (2, 10, 100_000):
+            rep = run(SimConfig(params, strategy, m, seed=3, weights=weights))
+            selfish = kw * rep.selfish_key_rewards + fw * rep.selfish_fees
+            total = (
+                kw * (rep.selfish_key_rewards + rep.honest_key_rewards)
+                + fw * (rep.selfish_fees + rep.honest_fees)
+            )
+            revenue = selfish / total if total > 0 else 0.0
+            assert abs(rep.relative_revenue - revenue) <= 1e-12, (strategy, m)
 
 
 def test_policy_rollout_std_error_is_calibrated():
