@@ -7,10 +7,14 @@ mean-length interval), split between the issuing leader (fraction r) and
 the next key-block miner (1 - r).  Attacks orphan part of the fee mass of
 the intervals they touch.  These interval strategies reduce every interval
 to its category (who mined the key blocks at its two ends) and its fee
-mass, so a run keeps sums per batch and category, one byte per key block
-and one slice of draws, whatever its length.  The rollout of a solved
-selfish-mining policy instead counts one fee unit per key-block interval,
-as the decision process does, so it ignores the interval mode.
+mass, so a run keeps counts and fee sums per batch and category, one byte
+per key block and one slice of draws, whatever its length.  In exponential
+mode a cell's fee sum, the sum of its n intervals' Exp(1) lengths, is
+drawn as one Gamma(n, 1) variate, its exact law: the seeded stream is the
+m ownership uniforms, then one gamma draw per (batch, category) cell.  The
+rollout of a solved selfish-mining policy instead counts one fee unit per
+key-block interval, as the decision process does, so it ignores the
+interval mode.
 
 Both simulators report as std_error the batch-means standard error of the
 revenue ratio over _BATCHES batches of consecutive intervals or key blocks;
@@ -144,12 +148,21 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     Their column sums give the report, linear in n_c and sum(f); the
     adjacent pairs are z = n_SH and k = n_HS.  Each batch's rows give its
     (selfish, total) revenue sums, whose batch means give the standard
-    error.  Deterministic intervals have f = 1.
+    error.
 
-    The seeded stream draws all m ownership uniforms, then the m - 1 fee
-    masses, each in slices of _SLICE.  Every uniform precedes the
-    first fee mass, so the ownership of all m key blocks stays in memory,
-    one byte each; everything else is bounded by the slice length.
+    An interval's fee mass is its length in units of the mean interval,
+    Exp(1) in exponential mode and 1 in deterministic mode.  The report
+    reads fee masses only through the sums sum(f) of its cells, and the sum
+    of n independent Exp(1) lengths is exactly Gamma(n, 1) (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. IX), so each cell's sum
+    is one Gamma(n_c, 1) draw, Marsaglia-Tsang in numpy; an empty cell's is
+    exactly 0.  Deterministic intervals give sum(f) = n_c.
+
+    The seeded stream draws all m ownership uniforms, in slices of _SLICE,
+    then one Gamma(n_c, 1) per cell in cell order.  The ownership of all m
+    key blocks stays in memory, one byte each; besides it a run holds one
+    slice of uniforms and cell indices and a count and fee sum per cell, of
+    which there are fewer than 8 * _BATCHES.
     """
     p = config.params
     m = config.horizon_keyblocks
@@ -164,26 +177,21 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     selfish[0] = False  # starting ancestor block is honest by convention
     owner = selfish.view(np.uint8)
 
-    exponential = config.interval_mode == "exponential"
     size = max(1, m // _BATCHES)
     cells = 4 * len(range(0, m - 1, size))
     cell_count = np.zeros(cells, np.int64)
-    cell_fees = np.zeros(cells)
     for start in range(0, m - 1, _SLICE):
         stop = min(start + _SLICE, m - 1)
-        # Cell 4 * batch + category, built in place: one index per interval.
-        cell = np.arange(start, stop)
-        cell //= size
-        cell *= 4
+        # Cell 4 * batch + category, one index per interval: the slice's
+        # batch runs, then the category added in place.
+        lo, hi = start // size, (stop - 1) // size + 1
+        run_edges = np.clip(np.arange(lo, hi + 1) * size, start, stop)
+        cell = np.repeat(np.arange(4 * lo, 4 * hi, 4), np.diff(run_edges))
         cell += 2 * owner[start:stop] + owner[start + 1 : stop + 1]
         cell_count += np.bincount(cell, minlength=cells)
-        if exponential:
-            # Fee mass in fee units: the interval length in units of the
-            # mean interval.
-            f = draws[: stop - start]
-            rng.standard_exponential(out=f)
-            cell_fees += np.bincount(cell, weights=f, minlength=cells)
-    if not exponential:
+    if config.interval_mode == "exponential":
+        cell_fees = rng.standard_gamma(cell_count.astype(float))
+    else:
         cell_fees = cell_count.astype(float)
     # One row per batch, one column per category.
     cell_count, cell_fees = cell_count.reshape(-1, 4), cell_fees.reshape(-1, 4)

@@ -135,6 +135,9 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["simulate", "--strategy", "honest", "--seed", "-1"],
         ["pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--seed", "-1"],
         ["fees", "--input", FIXTURE, "--edges", "x,1"],
+        # Edges out of order, or too few to make a bucket.
+        ["fees", "--input", FIXTURE, "--edges", "0.2,0.1"],
+        ["fees", "--input", FIXTURE, "--edges", "0.5"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -144,8 +147,9 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    if "--seed" in argv:
-        assert "--seed" in err
+    for flag in ("--seed", "--edges"):
+        if flag in argv:
+            assert flag in err
 
 
 def test_help_still_exits_0(capsys):

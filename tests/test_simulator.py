@@ -38,6 +38,7 @@ from ng_incentives.simulator import (
 
 from oracles import (
     build_transitions,
+    interval_exponential_reference,
     interval_reference,
     policy_of,
     policy_value,
@@ -154,6 +155,28 @@ def test_interval_report_matches_per_interval_reference(m, interval_mode):
                 assert math.isclose(got[name], value, rel_tol=1e-9, abs_tol=1e-15), config
             else:
                 assert math.isclose(got[name], value, rel_tol=1e-12), (config, name)
+
+
+@pytest.mark.parametrize("strategy", [Inclusion(0.5), Extension(1.0)])
+def test_gamma_cell_fees_match_per_interval_exponential_model(strategy):
+    # The simulator draws each cell's fee sum as one Gamma(n, 1); the plain
+    # model draws one Exp(1) fee mass per interval.  The laws are equal, so
+    # over disjoint seed sets the means agree within 4 two-sample standard
+    # errors, and so does the spread of the revenue (normal approximation).
+    n, fields = 400, ["relative_revenue", "selfish_fees", "orphaned_fee_units"]
+
+    def sample(simulate, seeds):
+        reports = [simulate(_config(strategy, m=20_000, seed=seed)) for seed in seeds]
+        return np.array([[getattr(rep, name) for name in fields] for rep in reports])
+
+    got = sample(run, range(n))
+    want = sample(interval_exponential_reference, range(n, 2 * n))
+    se = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / n)
+    gap = np.abs(got.mean(axis=0) - want.mean(axis=0))
+    assert (gap < 4 * se).all(), dict(zip(fields, gap / se))
+    spread = got[:, 0].std(ddof=1), want[:, 0].std(ddof=1)
+    spread_se = math.hypot(*spread) / math.sqrt(2 * (n - 1))
+    assert abs(spread[0] - spread[1]) < 4 * spread_se, spread
 
 
 def test_interval_std_error_is_calibrated():
