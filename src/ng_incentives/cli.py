@@ -110,20 +110,18 @@ def _seed(text: str) -> int:
 
 
 def _edges(text: str) -> list[float]:
-    """An --edges value: two or more comma-separated finite numbers in
-    strictly ascending order."""
+    """An --edges value: comma-separated numbers that feescan.check_edges
+    accepts."""
     try:
         edges = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
         ) from None
-    if len(edges) < 2:
-        raise argparse.ArgumentTypeError(f"expected at least two edges, got {text!r}")
-    if not all(map(math.isfinite, edges)):
-        raise argparse.ArgumentTypeError(f"edges must be finite, got {text!r}")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise argparse.ArgumentTypeError(f"edges must be strictly ascending, got {text!r}")
+    try:
+        feescan.check_edges(edges)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return edges
 
 

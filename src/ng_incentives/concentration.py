@@ -164,8 +164,7 @@ def _count_trials(rng, alpha, center, threshold, trials, u, x, pairs, stop):
         np.less(u[:n], alpha, out=x[:n])
         x[:n, 0] = False
         np.greater(x[:n, :-1], x[:n, 1:], out=pairs[:n])
-        # One call per row: the axis form casts every flag to intp and sums.
-        z = np.fromiter(map(np.count_nonzero, pairs[:n]), np.int64, n)
+        z = np.count_nonzero(pairs[:n], axis=1)
         hits += int(np.count_nonzero(np.abs(z - center) > threshold))
         z_sum += int(z.sum())
         remaining -= n

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,14 +71,20 @@ class FeeDistribution:
         return float(below) / self.count
 
 
-def distribution(fees: np.ndarray, edges: Iterable[float]) -> FeeDistribution:
-    edges = tuple(float(e) for e in edges)
+def check_edges(edges: Sequence[float]) -> None:
+    """Raise ValueError unless the bucket edges are two or more finite
+    numbers in strictly ascending order."""
     if len(edges) < 2:
         raise ValueError("need at least two bucket edges")
     if not np.isfinite(edges).all():
         raise ValueError(f"bucket edges must be finite, got {edges}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bucket edges must be strictly ascending")
+
+
+def distribution(fees: np.ndarray, edges: Iterable[float]) -> FeeDistribution:
+    edges = tuple(float(e) for e in edges)
+    check_edges(edges)
     fees = np.asarray(fees, dtype=float)
     if fees.size == 0:
         raise ValueError("no fee records")

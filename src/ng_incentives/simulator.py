@@ -182,11 +182,10 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     cell_count = np.zeros(cells, np.int64)
     for start in range(0, m - 1, _SLICE):
         stop = min(start + _SLICE, m - 1)
-        # Cell 4 * batch + category, one index per interval: the slice's
-        # batch runs, then the category added in place.
-        lo, hi = start // size, (stop - 1) // size + 1
-        run_edges = np.clip(np.arange(lo, hi + 1) * size, start, stop)
-        cell = np.repeat(np.arange(4 * lo, 4 * hi, 4), np.diff(run_edges))
+        # Cell 4 * batch + category, built in place: one index per interval.
+        cell = np.arange(start, stop)
+        cell //= size
+        cell *= 4
         cell += 2 * owner[start:stop] + owner[start + 1 : stop + 1]
         cell_count += np.bincount(cell, minlength=cells)
     if config.interval_mode == "exponential":

@@ -198,71 +198,25 @@ def interval_reference(config: SimConfig) -> SimReport:
     """The interval simulation with full-length per-interval arrays, from
     the simulator's seeded stream: all m ownership uniforms, then one
     Gamma(n, 1) fee sum per (batch, category) cell in cell order, n being
-    the cell's interval count, or the count itself in deterministic mode."""
-    p = config.params
+    the cell's interval count.  Every report field is linear in a cell's
+    fee sum, so the whole sum sits on the cell's first interval and its
+    other intervals carry none."""
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
-
-    selfish = rng.random(m) < p.alpha
+    selfish = rng.random(m) < config.params.alpha
     selfish[0] = False
-    leader = selfish[:-1]
-    nxt = selfish[1:]
-    # Batches of max(1, m // 512) consecutive intervals, four cells each.
-    batch = np.arange(m - 1) // max(1, m // 512)
-    cell = 4 * batch + 2 * leader + nxt
-    count = np.bincount(cell, minlength=4 * (batch[-1] + 1))
     if config.interval_mode == "exponential":
-        fee_mass = rng.standard_gamma(count.astype(float))
+        # Batches of max(1, m // 512) consecutive intervals, four cells each.
+        batch = np.arange(m - 1) // max(1, m // 512)
+        cell = 4 * batch + 2 * selfish[:-1] + selfish[1:]
+        count = np.bincount(cell, minlength=4 * (batch[-1] + 1))
+        fee_sum = rng.standard_gamma(count.astype(float))
+        cells, first = np.unique(cell, return_index=True)
+        fee_mass = np.zeros(m - 1)
+        fee_mass[first] = fee_sum[cells]
     else:
-        fee_mass = count.astype(float)
-
-    # Per cell: its leader and next ownership, then the interval sums.
-    r = p.split_ratio
-    cell_leader = np.arange(count.size) % 4 >= 2
-    cell_next = np.arange(count.size) % 2 == 1
-    selfish_share = np.where(cell_leader, r, 0.0) + np.where(cell_next, 1.0 - r, 0.0)
-    orphan_fraction = np.zeros(count.size)
-    if isinstance(config.strategy, Inclusion):
-        orphan_fraction[cell_leader & ~cell_next] = config.strategy.rho
-    elif isinstance(config.strategy, Extension):
-        orphan_fraction[~cell_leader & cell_next] = config.strategy.rho
-
-    kept = fee_mass * (1.0 - orphan_fraction)
-    selfish_fees = kept * selfish_share
-    honest_fees = kept - selfish_fees
-    orphaned = float(np.sum(fee_mass - kept))
-
-    weights = config.effective_weights()
-    # The key reward of block i+1 goes to interval i.
-    sel_cells = weights.fee_weight * selfish_fees + weights.key_weight * count * cell_next
-    tot_cells = weights.fee_weight * (selfish_fees + honest_fees) + weights.key_weight * count
-    sel_sum, tot_sum = float(sel_cells.sum()), float(tot_cells.sum())
-    revenue = sel_sum / tot_sum if tot_sum > 0 else 0.0
-    starts = np.arange(0, count.size, 4)
-    residual = np.add.reduceat(sel_cells, starts) - revenue * np.add.reduceat(
-        tot_cells, starts
-    )
-    std_error = (
-        math.sqrt(float(np.sum(residual * residual))) / tot_sum
-        if tot_sum > 0 and starts.size > 1
-        else 0.0
-    )
-
-    pairs = count_pairs(selfish)
-    return SimReport(
-        relative_revenue=revenue,
-        std_error=std_error,
-        # Interval i pays block i + 1; block 0, the starting ancestor, is unpaid.
-        selfish_key_rewards=int(np.count_nonzero(nxt)),
-        honest_key_rewards=int(np.count_nonzero(~nxt)),
-        selfish_fees=float(selfish_fees.sum()),
-        honest_fees=float(honest_fees.sum()),
-        orphaned_fee_units=orphaned,
-        pairs_z=pairs.z,
-        pairs_k=pairs.k,
-        keyblocks=pairs.m,
-        seed=config.seed,
-    )
+        fee_mass = np.ones(m - 1)
+    return _interval_report(config, selfish, fee_mass)
 
 
 def interval_exponential_reference(config: SimConfig) -> SimReport:
@@ -270,17 +224,24 @@ def interval_exponential_reference(config: SimConfig) -> SimReport:
     all m ownership uniforms, then m - 1 Exp(1) fee masses, one per
     interval.  The simulator draws each cell's fee sum as one gamma
     variate, so this shares its law but not its seeded stream."""
-    p = config.params
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
-
-    selfish = rng.random(m) < p.alpha
+    selfish = rng.random(m) < config.params.alpha
     selfish[0] = False
     if config.interval_mode == "exponential":
         fee_mass = rng.exponential(1.0, m - 1)
     else:
         fee_mass = np.ones(m - 1)
+    return _interval_report(config, selfish, fee_mass)
 
+
+def _interval_report(
+    config: SimConfig, selfish: np.ndarray, fee_mass: np.ndarray
+) -> SimReport:
+    """The report of an interval run from the ownership of its m key blocks
+    and the fee mass of each of its m - 1 intervals."""
+    p = config.params
+    m = config.horizon_keyblocks
     r = p.split_ratio
     leader = selfish[:-1]
     nxt = selfish[1:]
