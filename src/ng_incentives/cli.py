@@ -125,22 +125,17 @@ def _edges(text: str) -> list[float]:
     return edges
 
 
-def _base_params(args) -> ProtocolParams:
-    # revenue has no --gamma flag.
-    given = dict(alpha=args.alpha, gamma=getattr(args, "gamma", None), split_ratio=args.r)
-    return ProtocolParams(**{k: v for k, v in given.items() if v is not None})
+def _points(args, name: str) -> list[float]:
+    """The values of --NAME-grid if it was given, else [--NAME]."""
+    grid = getattr(args, f"{name}_grid")
+    return [getattr(args, name)] if grid is None else parse_grid(grid)
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_bounds(args) -> tuple[dict, list[dict]]:
-    if args.alpha_grid is not None:
-        grid = parse_grid(args.alpha_grid)
-    else:
-        grid = [] if args.alpha is None else [args.alpha]
-    if not grid:
-        raise UsageError("bounds needs --alpha or --alpha-grid")
+    grid = _points(args, "alpha")
     for a in grid:
         if not 0.0 <= a < 0.5:
             raise UsageError(f"alpha grid values must lie in [0, 0.5), got {a}")
@@ -161,8 +156,8 @@ def cmd_bounds(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_revenue(args) -> tuple[dict, list[dict]]:
-    params = _base_params(args)
-    grid = parse_grid(args.rho_grid) if args.rho_grid is not None else [args.rho]
+    params = ProtocolParams(alpha=args.alpha, split_ratio=args.r)
+    grid = _points(args, "rho")
     attacks = ("inclusion", "extension") if args.attack == "both" else (args.attack,)
     rows = []
     for attack in attacks:
@@ -186,22 +181,15 @@ def cmd_revenue(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_mdp(args) -> tuple[dict, list[dict]]:
-    # Not an argparse group: --alpha-grid and --r-grid are in one already.
-    for scalar, grid in (("alpha", args.alpha_grid), ("r", args.r_grid)):
-        if grid is not None and getattr(args, scalar) is not None:
-            raise UsageError(f"argument --{scalar}-grid: not allowed with argument --{scalar}")
-    params = _base_params(args)
+    # The one rule the parser's groups cannot express.
+    if args.alpha_grid is not None and args.r_grid is not None:
+        raise UsageError("argument --r-grid: not allowed with argument --alpha-grid")
     regimes = args.regime if args.regime else list(REGIMES)
-    if args.r_grid is not None:
-        points = [(params.alpha, r) for r in parse_grid(args.r_grid)]
-    elif args.alpha_grid is not None:
-        points = [(a, params.split_ratio) for a in parse_grid(args.alpha_grid)]
-    else:
-        points = [(params.alpha, params.split_ratio)]
+    points = [(a, r) for a in _points(args, "alpha") for r in _points(args, "r")]
     rows = []
     previous = {}  # each regime's last result, the next grid point's start
     for alpha, r in points:
-        point = ProtocolParams(alpha=alpha, gamma=params.gamma, split_ratio=r)
+        point = ProtocolParams(alpha=alpha, gamma=args.gamma, split_ratio=r)
         table = build_transitions(point, args.L)
         for regime in regimes:
             result = solve(table, RewardWeights.from_regime(regime), previous.get(regime))
@@ -211,17 +199,17 @@ def cmd_mdp(args) -> tuple[dict, list[dict]]:
                     "alpha": alpha,
                     "regime": regime,
                     "r": r,
-                    "gamma": params.gamma,
+                    "gamma": args.gamma,
                     "revenue": result.revenue,
                     "outer_iterations": result.outer_iterations,
                 }
             )
-    meta = {"command": "mdp", "gamma": params.gamma, "truncation": args.L}
+    meta = {"command": "mdp", "gamma": args.gamma, "truncation": args.L}
     return meta, rows
 
 
 def cmd_simulate(args) -> tuple[dict, list[dict]]:
-    params = _base_params(args)
+    params = ProtocolParams(alpha=args.alpha, gamma=args.gamma, split_ratio=args.r)
     weights = RewardWeights.from_regime(args.regime)
     if args.strategy == "honest":
         strategy = Honest()
@@ -324,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="write output to file")
 
     p = sub.add_parser("bounds", help="split-ratio bounds over an alpha grid")
-    grid = p.add_mutually_exclusive_group()
+    grid = p.add_mutually_exclusive_group(required=True)
     grid.add_argument("--alpha", type=float, default=None)
     grid.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
     p.add_argument(
@@ -337,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("revenue", help="closed-form attack revenue over a rho grid")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=ProtocolParams.alpha)
+    p.add_argument("--r", type=float, default=ProtocolParams.split_ratio)
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--rho", type=float, default=0.0)
     grid.add_argument("--rho-grid", default=None, metavar="A:B:STEP")
@@ -349,12 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_revenue)
 
     p = sub.add_parser("mdp", help="optimal selfish-mining revenue over a grid")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
-    grid.add_argument("--r-grid", default=None, metavar="A:B:STEP")
-    p.add_argument("--gamma", type=float, default=None)
+    for name, default in (("alpha", ProtocolParams.alpha), ("r", ProtocolParams.split_ratio)):
+        grid = p.add_mutually_exclusive_group()
+        grid.add_argument(f"--{name}", type=float, default=default)
+        grid.add_argument(f"--{name}-grid", default=None, metavar="A:B:STEP")
+    p.add_argument("--gamma", type=float, default=ProtocolParams.gamma)
     p.add_argument(
         "--regime",
         action="append",
@@ -372,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("honest", "inclusion", "extension", "mdpPolicy"),
         required=True,
     )
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=ProtocolParams.alpha)
+    p.add_argument("--r", type=float, default=ProtocolParams.split_ratio)
+    p.add_argument("--gamma", type=float, default=ProtocolParams.gamma)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--m", type=int, default=1_000_000, help="key-block horizon")
     p.add_argument("--seed", type=_seed, default=0)

@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
-from itertools import count, product
+from itertools import product
 
 import numpy as np
 
@@ -450,9 +450,10 @@ def solve(
     A start, a result solved at the same truncation (a neighbouring grid
     point, say), replaces w = 0 by the exact ratio of its policy on this
     table, evaluated from its distribution, and seeds the value iteration
-    with its bias.  That policy is feasible here, so its ratio is at most
-    the optimum: Dinkelbach's w must stay a lower bound, since a w above
-    the optimum would stop the steps at a worse policy.
+    with its bias: it enters the loop at the evaluation step, a cold solve
+    at the value iteration.  That policy is feasible here, so its ratio is
+    at most the optimum: Dinkelbach's w must stay a lower bound, since a w
+    above the optimum would stop the steps at a worse policy.
 
     Once a policy has been evaluated, a step whose last full sweep has
     every entry of Tv - v at most 0 ends the solve without evaluating its
@@ -464,34 +465,35 @@ def solve(
     # Unavailable pairs never win a max: their reward -inf - w * 0 stays -inf.
     r_self[~table.available] = -np.inf
     n = len(table.states)
-    v = np.zeros(n)
-    x = np.zeros(n)
-    x[0] = 1.0
-    w, best, best_rows, best_x = 0.0, -np.inf, None, None
-    sweeps = evaluations = 0
-    if start is not None:
+    if start is None:
+        v, x, rows = np.zeros(n), np.zeros(n), None
+        x[0] = 1.0
+    else:
         if start.truncation != table.truncation:
             raise ValueError(
                 f"start was solved at truncation L={start.truncation},"
                 f" the table has L={table.truncation}"
             )
-        best_rows = start.policy * n + np.arange(n)
-        best_x, evaluations = _stationary(table.transition[best_rows], start.distribution)
-        w = best = float(best_x @ r_self[best_rows]) / float(best_x @ r_total[best_rows])
-        v, x = start.bias, best_x
-    for outer in count(1):
+        v, x, rows = start.bias, start.distribution, start.policy * n + np.arange(n)
+        chain = table.transition[rows]
+    w, best, best_rows = 0.0, -np.inf, None
+    outer = sweeps = evaluations = 0
+    while True:
+        if rows is not None:
+            x, used = _stationary(chain, x)
+            evaluations += used
+            ratio = float(x @ r_self[rows]) / float(x @ r_total[rows])
+            if ratio > best:
+                best, best_rows, best_x = ratio, rows, x
+            # A start's own evaluation (outer == 0) never ends the solve.
+            if outer and (g <= _EPS_INNER or ratio <= w):
+                break
+            w = ratio
         g, hi, v, rows, chain, used = _gain(table, r_self - w * r_total, v)
+        outer += 1
         sweeps += used
         if hi <= 0.0 and best_rows is not None:
             break
-        x, used = _stationary(chain, x)
-        evaluations += used
-        ratio = float(x @ r_self[rows]) / float(x @ r_total[rows])
-        if ratio > best:
-            best, best_rows, best_x = ratio, rows, x
-        if g <= _EPS_INNER or ratio <= w:
-            break
-        w = ratio
     policy = best_rows // n
     for array in (policy, v, best_x):
         array.flags.writeable = False

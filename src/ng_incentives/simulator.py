@@ -7,14 +7,13 @@ mean-length interval), split between the issuing leader (fraction r) and
 the next key-block miner (1 - r).  Attacks orphan part of the fee mass of
 the intervals they touch.  These interval strategies reduce every interval
 to its category (who mined the key blocks at its two ends) and its fee
-mass, so a run keeps counts and fee sums per batch and category, one byte
-per key block and one slice of draws, whatever its length.  In exponential
-mode a cell's fee sum, the sum of its n intervals' Exp(1) lengths, is
-drawn as one Gamma(n, 1) variate, its exact law: the seeded stream is the
-m ownership uniforms, then one gamma draw per (batch, category) cell.  The
-rollout of a solved selfish-mining policy instead counts one fee unit per
-key-block interval, as the decision process does, so it ignores the
-interval mode.
+mass, so a run keeps counts and fee sums per batch and category and one
+slice of draws, whatever its length.  In exponential mode a cell's fee sum,
+the sum of its n intervals' Exp(1) lengths, is drawn as one Gamma(n, 1)
+variate, its exact law: the seeded stream is the m ownership uniforms, then
+one gamma draw per (batch, category) cell.  The rollout of a solved
+selfish-mining policy instead counts one fee unit per key-block interval,
+as the decision process does, so it ignores the interval mode.
 
 Both simulators report as std_error the batch-means standard error of the
 revenue ratio over _BATCHES batches of consecutive intervals or key blocks;
@@ -70,6 +69,7 @@ class MdpPolicy:
 Strategy = Union[Honest, Inclusion, Extension, MdpPolicy]
 
 INTERVAL_MODES = ("exponential", "deterministic")
+_MAX_KEYBLOCKS = 10**10  # about 20 minutes of policy rollout
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,9 @@ class SimConfig:
     weights: RewardWeights | None = None
 
     def __post_init__(self) -> None:
-        if self.horizon_keyblocks < 2:
-            raise ValueError("horizon_keyblocks must be at least 2")
+        m = self.horizon_keyblocks
+        if not 2 <= m <= _MAX_KEYBLOCKS:
+            raise ValueError(f"horizon_keyblocks must be between 2 and {_MAX_KEYBLOCKS}, got {m}")
         if self.interval_mode not in INTERVAL_MODES:
             raise ValueError(f"unknown interval_mode {self.interval_mode!r}")
 
@@ -158,36 +159,36 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     is one Gamma(n_c, 1) draw, Marsaglia-Tsang in numpy; an empty cell's is
     exactly 0.  Deterministic intervals give sum(f) = n_c.
 
-    The seeded stream draws all m ownership uniforms, in slices of _SLICE,
-    then one Gamma(n_c, 1) per cell in cell order.  The ownership of all m
-    key blocks stays in memory, one byte each; besides it a run holds one
-    slice of uniforms and cell indices and a count and fee sum per cell, of
-    which there are fewer than 8 * _BATCHES.
+    The seeded stream draws all m ownership uniforms in key-block order,
+    then one Gamma(n_c, 1) per cell in cell order.  One pass counts each
+    slice's intervals as it draws them, carrying the previous slice's last
+    block, so a run holds one slice of uniforms, bits and cell indices and
+    a count and fee sum per cell, of which there are fewer than 8 * _BATCHES.
     """
     p = config.params
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
 
-    selfish = np.empty(m, dtype=bool)
-    draws = np.empty(min(_SLICE, m))
-    for start in range(0, m, _SLICE):
-        u = draws[: min(_SLICE, m - start)]
-        rng.random(out=u)
-        np.less(u, p.alpha, out=selfish[start : start + u.size])
-    selfish[0] = False  # starting ancestor block is honest by convention
-    owner = selfish.view(np.uint8)
-
     size = max(1, m // _BATCHES)
     cells = 4 * len(range(0, m - 1, size))
     cell_count = np.zeros(cells, np.int64)
-    for start in range(0, m - 1, _SLICE):
-        stop = min(start + _SLICE, m - 1)
-        # Cell 4 * batch + category, built in place: one index per interval.
-        cell = np.arange(start, stop)
+    draws = np.empty(min(_SLICE, m - 1))
+    # The previous slice's last block, then this slice's blocks.
+    selfish = np.empty(draws.size + 1, dtype=bool)
+    owner = selfish.view(np.uint8)
+    rng.random()  # block 0's draw: the starting ancestor is honest by convention
+    selfish[0] = False
+    for start in range(1, m, _SLICE):
+        u = draws[: min(_SLICE, m - start)]
+        rng.random(out=u)
+        np.less(u, p.alpha, out=selfish[1 : u.size + 1])
+        # Cell 4 * batch + category, built in place: block i ends interval i - 1.
+        cell = np.arange(start - 1, start - 1 + u.size)
         cell //= size
         cell *= 4
-        cell += 2 * owner[start:stop] + owner[start + 1 : stop + 1]
+        cell += 2 * owner[: u.size] + owner[1 : u.size + 1]
         cell_count += np.bincount(cell, minlength=cells)
+        selfish[0] = selfish[u.size]
     if config.interval_mode == "exponential":
         cell_fees = rng.standard_gamma(cell_count.astype(float))
     else:

@@ -103,8 +103,8 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["fees", "--input", FIXTURE, "--whale-threshold", "inf"],
         ["fees", "--input", FIXTURE, "--edges", "0.1,nan"],
         ["fees", "--input", FIXTURE, "--edges", "0.1,inf"],
-        # Petabyte arrays, beyond any 47-bit address space: they fail at
-        # once without touching memory.
+        # A horizon past the simulator's bound, and a petabyte pair array
+        # beyond any 47-bit address space: both fail at once.
         ["simulate", "--strategy", "honest", "--m", "1000000000000000"],
         ["pairs", "--alpha", "0.3", "--m", "1000000000000000", "--delta", "0.1",
          "--trials", "1"],
@@ -138,6 +138,8 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         # Edges out of order, or too few to make a bucket.
         ["fees", "--input", FIXTURE, "--edges", "0.2,0.1"],
         ["fees", "--input", FIXTURE, "--edges", "0.5"],
+        # Holds no O(m) memory, so only the horizon bound stops it.
+        ["simulate", "--strategy", "mdpPolicy", "--m", "1000000000000000", "--L", "4"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):

@@ -189,15 +189,16 @@ def test_interval_std_error_is_calibrated():
 
 
 def test_interval_memory_is_bounded():
-    # One byte per key block stays, plus one slice of draws.
-    config = _config(Inclusion(0.5), alpha=0.5, m=4_000_000)
-    tracemalloc.start()
-    try:
-        run(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # One slice of draws and the cell sums, whatever the number of key blocks.
+    for m in (4_000_000, 40_000_000):
+        config = _config(Inclusion(0.5), alpha=0.5, m=m)
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,16 @@ def solved():
     params = ProtocolParams(alpha=0.35, gamma=0.5, split_ratio=0.4)
     table = build_transitions(params, truncation=12)
     return params, solve(table, RewardWeights.from_regime("fee"))
+
+
+def test_horizon_is_bounded(solved):
+    # Neither simulator holds O(m) memory, so only this bound stops a run
+    # that would take years: 10**15 key blocks at 0.1 us each.
+    params, result = solved
+    for strategy in (Honest(), MdpPolicy(result)):
+        with pytest.raises(ValueError, match="horizon_keyblocks"):
+            SimConfig(params, strategy, 10**15, seed=0)
+        SimConfig(params, strategy, 10**10, seed=0)
 
 
 def test_policy_rollout_tracks_solver(solved):
