@@ -64,8 +64,26 @@ def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     return 4.0 * math.exp(-delta * delta * ab * (m - 1) / 4.0)
 
 
-# Rows of trials held at once, over all threads; bounds the (batch, m) buffers.
+def ownership_bits(bits: np.random.BitGenerator, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Fill the bool array ``out``, in C order, with Bernoulli(alpha)
+    ownership bits from the next ceil(out.size / 2) raw 64-bit outputs of
+    ``bits`` (``random_raw``, which releases the GIL), and return it.
+
+    Each output is two 32-bit lanes, low half first (a ``uint32`` view on a
+    little-endian host), and a bit is 1 when its lane is below
+    ceil(alpha * 2**32), alpha * 2**32 being exact in floating point.  So a
+    bit is 1 with probability ceil(alpha * 2**32) / 2**32, alpha to a
+    resolution of 2**-32.  An odd out.size discards the last output's high
+    lane.
+    """
+    lanes = bits.random_raw(-(-out.size // 2)).view(np.uint32)[: out.size]
+    return np.less(lanes.reshape(out.shape), math.ceil(alpha * 2**32), out=out)
+
+
+# Rows of trials held at once, over all threads, and the ownership bits one
+# batch may hold unless a single trial has more; together they bound the buffers.
 _BATCH = 64
+_BATCH_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -87,20 +105,23 @@ def empirical_pair_summary(
 
     Each sequence draws every bit Bernoulli(alpha) with the first bit forced
     to 0.  The bits come row-major from one PCG64 stream seeded with
-    ``seed``: every double that ``Generator.random`` returns takes exactly
-    one 64-bit output, so trial t always starts at stream offset t*m.  The
+    ``seed``, two per raw 64-bit output (ownership_bits: alpha to a
+    resolution of 2**-32), so trial t always starts at raw output
+    t * ceil(m/2); for odd m each trial's last lane is discarded.  The
     trials are therefore split into W contiguous parts, W being the CPUs the
-    process may run on (capped at trials and _BATCH), and one
+    process may run on (capped at the rows of a batch), and one
     ThreadPoolExecutor of W threads runs every part, each from a generator
     advanced to its first trial's offset.  The hit count and the sum of Z
     are integer sums, so the result depends on the seed alone, not on W or
-    on the batch size.  The parts share the _BATCH rows of draw, bit and
-    (1,0) pair-flag buffers, all allocated before any part starts, so memory
-    is bounded by _BATCH * m whatever the number of trials.  Every parameter
-    is checked before anything is drawn.  A failing part sets the stop event
-    and its exception is raised here; an interrupted caller sets it too.
-    Either way the other parts quit at their next batch, and all have ended
-    before this returns or raises.
+    on the batch size.  A batch holds at most _BATCH rows and, unless one
+    trial is longer, _BATCH_BITS bits.  The parts share its bit and (1,0)
+    pair-flag buffers, all allocated before any part starts, and each part
+    draws a batch's raw outputs into a fresh array, so memory is about 6
+    bytes per bit of one batch whatever the number of trials.  Every
+    parameter is checked before anything is drawn.  A failing part sets the
+    stop event and its exception is raised here; an interrupted caller sets
+    it too.  Either way the other parts quit at their next batch, and all
+    have ended before this returns or raises.
     """
     if trials < 1:
         raise SequenceError("trials must be at least 1")
@@ -112,21 +133,22 @@ def empirical_pair_summary(
         raise SequenceError("delta must be in (0,1)")
     center = alpha * (1.0 - alpha) * (m - 1)
     threshold = delta * center
-    rows = min(_BATCH, trials)
+    words = (m + 1) // 2  # raw outputs per trial
+    rows = min(_BATCH, trials, max(1, _BATCH_BITS // m))
     workers = min(_cpus(), rows)
-    u = np.empty((rows, m))
-    x = np.empty((rows, m), dtype=bool)
-    pairs = np.empty((rows, m - 1), dtype=bool)
+    x = np.empty((rows, 2 * words), dtype=bool)
+    # Pair flags, each row zero-padded to whole 64-bit words for bitwise_count.
+    pairs = np.zeros((rows, -(-(m - 1) // 8) * 8), dtype=bool)
     stop = threading.Event()  # set by a failing part or an interrupted caller
 
     def part(j: int) -> tuple[int, int]:
         try:
             lo, hi = trials * j // workers, trials * (j + 1) // workers
-            rng = np.random.default_rng(seed)
-            rng.bit_generator.advance(lo * m)
+            bits = np.random.PCG64(seed)  # default_rng(seed)'s bit generator
+            bits.advance(lo * words)
             r = slice(rows * j // workers, rows * (j + 1) // workers)
             return _count_trials(
-                rng, alpha, center, threshold, hi - lo, u[r], x[r], pairs[r], stop
+                bits, alpha, m, center, threshold, hi - lo, x[r], pairs[r], stop
             )
         except BaseException:
             stop.set()
@@ -158,19 +180,19 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_trials(rng, alpha, center, threshold, trials, u, x, pairs, stop):
-    """(deviation hits, sum of Z) over the next ``trials`` rows of ``rng``,
-    in batches of the rows of u, x and pairs; stops once ``stop`` is set."""
+def _count_trials(bits, alpha, m, center, threshold, trials, x, pairs, stop):
+    """(deviation hits, sum of Z) over the next ``trials`` rows of the bit
+    generator ``bits``, in batches of the rows of x and pairs; stops once
+    ``stop`` is set."""
     hits = 0
     z_sum = 0
     remaining = trials
     while remaining > 0 and not stop.is_set():
-        n = min(len(u), remaining)
-        rng.random(out=u[:n])
-        np.less(u[:n], alpha, out=x[:n])
+        n = min(len(x), remaining)
+        ownership_bits(bits, alpha, x[:n])
         x[:n, 0] = False
-        np.greater(x[:n, :-1], x[:n, 1:], out=pairs[:n])
-        z = np.count_nonzero(pairs[:n], axis=1)
+        np.greater(x[:n, : m - 1], x[:n, 1:m], out=pairs[:n, : m - 1])
+        z = np.bitwise_count(pairs[:n].view(np.uint64)).sum(axis=1)
         hits += int(np.count_nonzero(np.abs(z - center) > threshold))
         z_sum += int(z.sum())
         remaining -= n

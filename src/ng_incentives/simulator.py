@@ -10,10 +10,12 @@ to its category (who mined the key blocks at its two ends) and its fee
 mass, so a run keeps counts and fee sums per batch and category and one
 slice of draws, whatever its length.  In exponential mode a cell's fee sum,
 the sum of its n intervals' Exp(1) lengths, is drawn as one Gamma(n, 1)
-variate, its exact law: the seeded stream is the m ownership uniforms, then
+variate, its exact law: the seeded stream is the m ownership bits, two
+32-bit lanes per raw 64-bit output (alpha to a resolution of 2**-32), then
 one gamma draw per (batch, category) cell.  The rollout of a solved
-selfish-mining policy instead counts one fee unit per key-block interval,
-as the decision process does, so it ignores the interval mode.
+selfish-mining policy instead draws one 64-bit uniform per key block and
+counts one fee unit per key-block interval, as the decision process does,
+so it ignores the interval mode.
 
 Both simulators report as std_error the batch-means standard error of the
 revenue ratio over _BATCHES batches of consecutive intervals or key blocks;
@@ -28,6 +30,7 @@ from typing import Union
 
 import numpy as np
 
+from .concentration import ownership_bits
 from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, SolveResult
 from .model import ProtocolParams, RewardWeights
 
@@ -159,42 +162,54 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     is one Gamma(n_c, 1) draw, Marsaglia-Tsang in numpy; an empty cell's is
     exactly 0.  Deterministic intervals give sum(f) = n_c.
 
-    The seeded stream draws all m ownership uniforms in key-block order,
+    Block i's ownership bit is lane i of the seeded PCG64 stream, two per
+    raw 64-bit output (concentration.ownership_bits: alpha to a resolution
+    of 2**-32).  Block 0's lane is drawn and discarded, the starting ancestor
+    being honest by convention.  The stream is the ceil(m / 2) raw outputs
+    of the m blocks (every slice but the last has an even _SLICE blocks),
     then one Gamma(n_c, 1) per cell in cell order.  One pass counts each
     slice's intervals as it draws them, carrying the previous slice's last
-    block, so a run holds one slice of uniforms, bits and cell indices and
-    a count and fee sum per cell, of which there are fewer than 8 * _BATCHES.
+    block: np.add.reduceat at the slice's batch edges sums, per batch, the
+    intervals led by a selfish block, those ended by one, and those both
+    led and ended by one, which gives n_SS, n_SH = led - n_SS, n_HS =
+    ended - n_SS and n_HH as the rest.  A run holds one slice of lanes and
+    bits and three counts per batch, then a count and fee sum per cell, of
+    which there are fewer than 8 * _BATCHES.
     """
     p = config.params
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
 
     size = max(1, m // _BATCHES)
-    cells = 4 * len(range(0, m - 1, size))
-    cell_count = np.zeros(cells, np.int64)
-    draws = np.empty(min(_SLICE, m - 1))
+    firsts = np.arange(0, m - 1, size)  # each batch's first interval
+    # Per batch, intervals led by a selfish block, ended by one, and both.
+    led, ended, both = (np.zeros(firsts.size, np.int64) for _ in range(3))
     # The previous slice's last block, then this slice's blocks.
-    selfish = np.empty(draws.size + 1, dtype=bool)
-    owner = selfish.view(np.uint8)
-    rng.random()  # block 0's draw: the starting ancestor is honest by convention
-    selfish[0] = False
-    for start in range(1, m, _SLICE):
-        u = draws[: min(_SLICE, m - start)]
-        rng.random(out=u)
-        np.less(u, p.alpha, out=selfish[1 : u.size + 1])
-        # Cell 4 * batch + category, built in place: block i ends interval i - 1.
-        cell = np.arange(start - 1, start - 1 + u.size)
-        cell //= size
-        cell *= 4
-        cell += 2 * owner[: u.size] + owner[1 : u.size + 1]
-        cell_count += np.bincount(cell, minlength=cells)
-        selfish[0] = selfish[u.size]
+    selfish = np.empty(min(_SLICE, m) + 1, dtype=bool)
+    flags = np.empty(min(_SLICE, m), dtype=bool)
+    for start in range(0, m, _SLICE):
+        n = min(_SLICE, m - start)
+        ownership_bits(rng.bit_generator, p.alpha, selfish[1 : n + 1])
+        # selfish[j] is block start - 1 + j, which leads interval start - 1 + j.
+        j = 0
+        if start == 0:
+            selfish[1] = False  # block 0, the starting ancestor, is honest
+            j = 1  # and leads interval 0
+        first = start - 1 + j
+        leader, nxt = selfish[j:n], selfish[j + 1 : n + 1]
+        lo, hi = first // size, (start + n - 2) // size + 1
+        edges = np.maximum(np.arange(lo, hi) * size - first, 0)
+        ss = np.logical_and(leader, nxt, out=flags[: leader.size])
+        for total, bits in ((led, leader), (ended, nxt), (both, ss)):
+            total[lo:hi] += np.add.reduceat(bits, edges, dtype=np.int32)
+        selfish[0] = selfish[n]
+    length = np.diff(firsts, append=m - 1)
+    # One row per batch, one column per category (_HH, _HS, _SH, _SS).
+    cell_count = np.stack([length - led - ended + both, ended - both, led - both, both], axis=1)
     if config.interval_mode == "exponential":
         cell_fees = rng.standard_gamma(cell_count.astype(float))
     else:
         cell_fees = cell_count.astype(float)
-    # One row per batch, one column per category.
-    cell_count, cell_fees = cell_count.reshape(-1, 4), cell_fees.reshape(-1, 4)
     count, fee_sum = cell_count.sum(axis=0), cell_fees.sum(axis=0)
 
     r = p.split_ratio

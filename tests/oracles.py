@@ -4,9 +4,11 @@ state, the stationary distribution and exact long-run revenue of a fixed
 policy and the number of closed classes of its chain, the optimal gain of
 a reward by plain relative value iteration, Eyal-Sirer SM1 selfish mining
 ("Majority is not Enough", arXiv:1311.0243) as a fixed MDP policy with its
-closed-form relative revenue, and the interval simulation computed with
-one array entry per interval, both from the simulator's seeded stream and
-as its plain model with one Exp(1) fee mass per interval."""
+closed-form relative revenue, the exact mean and variance of the pair
+count Z, the 32-bit lanes of a generator's raw outputs, and the interval
+simulation computed with one array entry per interval, both from the
+simulator's seeded stream and as its plain model with one Exp(1) fee mass
+per interval."""
 import math
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -194,16 +196,43 @@ def sm1_revenue(alpha: float, gamma: float) -> float:
     ) / (1 - alpha * (1 + (2 - alpha) * alpha))
 
 
+def pair_moments(alpha: float, m: int) -> tuple[float, float]:
+    """Exact mean and variance of Z, the adjacent (1, 0) pairs of m
+    ownership bits whose first bit is 0 and whose others are independent
+    Bernoulli(alpha).
+
+    Z is the sum of the indicators I_i = x_{i-1} (1 - x_i), i = 1..m-1.
+    I_1 = 0 since x_0 = 0, and each of the other n = m - 2 is
+    Bernoulli(p), p = alpha * (1 - alpha).  Adjacent I_i and I_{i+1} are
+    never both 1 (x_i would have to be 0 and 1), so their covariance is
+    0 - p^2; indicators further apart read disjoint bits and are
+    independent.  Hence E[Z] = n p and Var Z = n p (1 - p) - 2 (n - 1) p^2
+    for n >= 1, and Z = 0 at m = 2.  Shares no code with either kernel."""
+    n = m - 2
+    p = alpha * (1.0 - alpha)
+    if n < 1:
+        return 0.0, 0.0
+    return n * p, n * p * (1.0 - p) - 2.0 * (n - 1) * p * p
+
+
+def lanes(rng, n: int) -> np.ndarray:
+    """The next n 32-bit lanes of rng's raw 64-bit outputs, low half first;
+    an odd n discards the last output's high half."""
+    raw = rng.bit_generator.random_raw(-(-n // 2))
+    return np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=-1).reshape(-1)[:n]
+
+
 def interval_reference(config: SimConfig) -> SimReport:
     """The interval simulation with full-length per-interval arrays, from
-    the simulator's seeded stream: all m ownership uniforms, then one
-    Gamma(n, 1) fee sum per (batch, category) cell in cell order, n being
-    the cell's interval count.  Every report field is linear in a cell's
-    fee sum, so the whole sum sits on the cell's first interval and its
-    other intervals carry none."""
+    the simulator's seeded stream: ceil(m / 2) raw 64-bit outputs read as
+    m 32-bit lanes, low half first, block i being selfish when lane i is
+    below alpha * 2**32; then one Gamma(n, 1) fee sum per (batch, category)
+    cell in cell order, n being the cell's interval count.  Every report
+    field is linear in a cell's fee sum, so the whole sum sits on the
+    cell's first interval and its other intervals carry none."""
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
-    selfish = rng.random(m) < config.params.alpha
+    selfish = lanes(rng, m) * 2.0**-32 < config.params.alpha
     selfish[0] = False
     if config.interval_mode == "exponential":
         # Batches of max(1, m // 512) consecutive intervals, four cells each.
@@ -222,8 +251,9 @@ def interval_reference(config: SimConfig) -> SimReport:
 def interval_exponential_reference(config: SimConfig) -> SimReport:
     """The interval simulation as its plain model, one interval at a time:
     all m ownership uniforms, then m - 1 Exp(1) fee masses, one per
-    interval.  The simulator draws each cell's fee sum as one gamma
-    variate, so this shares its law but not its seeded stream."""
+    interval.  The simulator draws ownership from 32-bit lanes and each
+    cell's fee sum as one gamma variate, so this shares its law, up to the
+    lanes' 2**-32 resolution of alpha, but not its seeded stream."""
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
     selfish = rng.random(m) < config.params.alpha

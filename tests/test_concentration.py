@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from ng_incentives import concentration as cc
 
+from oracles import lanes, pair_moments
+
 
 def test_count_pairs_basic():
     pc = cc.count_pairs([0, 1, 0, 0, 1, 1, 0])
@@ -62,6 +64,28 @@ def test_empirical_summary_degenerate_alpha():
     assert s.deviation_fraction == 0.0 and s.mean_z == 0.0
 
 
+@pytest.mark.parametrize("m", [3, 11, 1000])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5])
+def test_empirical_mean_z_matches_exact_mean(alpha, m):
+    """mean_z lies within 4 standard errors sqrt(Var Z / trials) of E[Z] =
+    alpha * beta * (m - 2), both exact (oracles.pair_moments): Z sums
+    m - 2 Bernoulli(alpha * beta) indicators, adjacent ones with
+    covariance -(alpha * beta)^2, the others independent."""
+    trials = 20_000
+    mean, var = pair_moments(alpha, m)
+    summary = cc.empirical_pair_summary(alpha, m, 0.5, trials=trials, seed=3)
+    assert abs(summary.mean_z - mean) < 4 * math.sqrt(var / trials)
+
+
+def test_empirical_mean_z_is_exact_without_pairs():
+    # m = 2 has one pair position, and bit 0 is 0; alpha = 1 makes every
+    # other bit 1, so no (1,0) pair can occur at any m.
+    assert cc.empirical_pair_summary(0.3, 2, 0.5, trials=100, seed=0).mean_z == 0.0
+    for m in (2, 3, 61, 10_001):
+        s = cc.empirical_pair_summary(1.0, m, 0.5, trials=70, seed=0)
+        assert (s.mean_z, s.deviation_fraction) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0, 5.0])
 def test_empirical_summary_rejects_delta(alpha, delta):
@@ -71,14 +95,15 @@ def test_empirical_summary_rejects_delta(alpha, delta):
 
 def test_empirical_deviation_matches_direct_counting():
     # Cross-check the batched trial loop against count_pairs over one draw
-    # of all trials at once; more trials than one batch, so the result must
-    # not depend on where the batches split.
+    # of all trials at once, trial t from raw output t * ceil(m / 2); more
+    # trials than one batch, so the result must not depend on where the
+    # batches split.
     alpha, m, delta, seed, trials = 0.4, 60, 0.3, 7, 1_100
     summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     center = alpha * (1 - alpha) * (m - 1)
     hits = z_sum = 0
-    x = rng.random((trials, m)) < alpha
+    x = lanes(rng, trials * m).reshape(trials, m) * 2.0**-32 < alpha
     x[:, 0] = False
     for row in x:
         z = cc.count_pairs(row.astype(int)).z
@@ -89,11 +114,13 @@ def test_empirical_deviation_matches_direct_counting():
 
 
 def _direct_summary(alpha, m, delta, trials, seed):
-    # count_pairs over one row-major draw of all trials from one stream.
+    # count_pairs over one row-major draw of all trials from one stream:
+    # ceil(m / 2) raw outputs per trial, the last lane unused for odd m.
     rng = np.random.default_rng(seed)
     center = alpha * (1 - alpha) * (m - 1)
     hits = z_sum = 0
-    x = rng.random((trials, m)) < alpha
+    words = (m + 1) // 2
+    x = lanes(rng, trials * 2 * words).reshape(trials, 2 * words)[:, :m] * 2.0**-32 < alpha
     x[:, 0] = False
     for row in x:
         z = cc.count_pairs(row.astype(int)).z
@@ -111,6 +138,8 @@ def _direct_summary(alpha, m, delta, trials, seed):
         (1, 500),
         (50, 2),  # one pair position
         (700, 60),  # more than one batch per worker
+        (7, 3),  # odd m: each trial discards its last lane
+        (700, 61),
     ],
 )
 def test_empirical_summary_does_not_depend_on_worker_count(monkeypatch, workers, trials, m):
@@ -167,3 +196,15 @@ def test_empirical_summary_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_empirical_summary_memory_is_bounded_by_bits():
+    # A batch holds at most _BATCH_BITS bits unless one trial is longer, so
+    # long trials run one row at a time: 64 rows of 4M bits would be 1.5 GB.
+    tracemalloc.start()
+    try:
+        cc.empirical_pair_summary(0.3, 4_000_000, 0.1, 64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -40,6 +40,7 @@ from oracles import (
     build_transitions,
     interval_exponential_reference,
     interval_reference,
+    pair_moments,
     policy_of,
     policy_value,
     sm1_action,
@@ -186,6 +187,28 @@ def test_interval_std_error_is_calibrated():
     reports = [run(_config(Honest(), r=0.5, m=20_000, seed=seed)) for seed in range(400)]
     spread = np.std([rep.relative_revenue for rep in reports], ddof=1)
     assert abs(spread / np.mean([rep.std_error for rep in reports]) - 1) < 0.1
+
+
+def test_interval_pair_count_has_exact_moments():
+    """Over 200 seeds, pairs_z has mean within 4 standard errors of E[Z] =
+    alpha * beta * (m - 2) and sample variance within 4 standard errors
+    (normal approximation, Var Z * sqrt(2 / (n - 1))) of the exact Var Z
+    (oracles.pair_moments, which derives both)."""
+    alpha, m, n = 0.3, 2_000, 200
+    z = np.array([run(_config(Honest(), alpha=alpha, m=m, seed=s)).pairs_z for s in range(n)])
+    mean, var = pair_moments(alpha, m)
+    assert abs(z.mean() - mean) < 4 * math.sqrt(var / n)
+    assert abs(z.var(ddof=1) - var) < 4 * var * math.sqrt(2 / (n - 1))
+
+
+@pytest.mark.parametrize("m", [2, 3, _S, _S + 1])
+def test_interval_ownership_at_alpha_0_and_1(m):
+    # Block 0 is honest; at alpha = 1 every other block is selfish, at
+    # alpha = 0 none is.
+    every = run(_config(Honest(), alpha=1.0, m=m))
+    assert (every.pairs_k, every.pairs_z, every.selfish_key_rewards) == (1, 0, m - 1)
+    none = run(_config(Honest(), alpha=0.0, m=m))
+    assert (none.pairs_k, none.pairs_z, none.selfish_key_rewards) == (0, 0, 0)
 
 
 def test_interval_memory_is_bounded():
