@@ -16,8 +16,6 @@ from .closedform import (
     ratio_bounds,
 )
 from .concentration import (
-    PairCounts,
-    count_pairs,
     empirical_pair_summary,
     pair_deviation_bound,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "optimal_extension_revenue",
     "optimal_inclusion_revenue",
     "ratio_bounds",
-    "PairCounts",
-    "count_pairs",
     "empirical_pair_summary",
     "pair_deviation_bound",
     "Fork",

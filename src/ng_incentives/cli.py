@@ -126,8 +126,11 @@ def _edges(text: str) -> list[float]:
 
 
 def _points(args, name: str) -> list[float]:
-    """The values of --NAME-grid if it was given, else [--NAME]."""
+    """The values of --NAME-grid if it was given, else [--NAME], one of
+    which is required when --NAME has no default."""
     grid = getattr(args, f"{name}_grid")
+    if grid is None and getattr(args, name) is None:
+        raise UsageError(f"one of the arguments --{name} --{name}-grid is required")
     return [getattr(args, name)] if grid is None else parse_grid(grid)
 
 
@@ -312,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="write output to file")
 
     p = sub.add_parser("bounds", help="split-ratio bounds over an alpha grid")
-    grid = p.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--alpha", type=float, default=None)
+    # Not required=True: argparse checks required groups before it reports
+    # an unknown flag, so _points checks it and an unknown flag is named.
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--alpha", type=float, default=None, help="this or --alpha-grid is required")
     grid.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
     p.add_argument(
         "--class",

@@ -5,37 +5,23 @@ An ownership sequence is a 0/1 list: 1 marks a selfish key block.  The first
 element is 0 by convention (the starting ancestor block is honest).  Z counts
 adjacent (1,0) pairs, K counts adjacent (0,1) pairs; deviations are measured
 from the centre alpha*beta*(m-1), not from the mean.
+
+Both Monte Carlo kernels, the pair Monte Carlo here and the interval
+simulator, read a run of ownership bits only through four numbers: its ones,
+its runs of ones, and its first and last bit.  segment_stats draws those four
+from their exact joint law, a few variates per run of bits whatever its
+length, instead of drawing every bit.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 
 class SequenceError(ValueError):
     """Invalid ownership sequence or bound parameter."""
-
-
-@dataclass(frozen=True)
-class PairCounts:
-    z: int  # adjacent (1, 0) pairs
-    k: int  # adjacent (0, 1) pairs
-    m: int  # sequence length
-
-
-def count_pairs(bits: Sequence[int]) -> PairCounts:
-    """Count adjacent (1,0) and (0,1) pairs over the m-1 adjacent positions."""
-    if len(bits) < 2:
-        raise SequenceError("ownership sequence needs at least 2 elements")
-    x = np.asarray(bits, dtype=bool)
-    z = int(np.count_nonzero(x[:-1] & ~x[1:]))
-    k = int(np.count_nonzero(~x[:-1] & x[1:]))
-    return PairCounts(z=z, k=k, m=len(bits))
 
 
 def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
@@ -64,26 +50,56 @@ def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     return 4.0 * math.exp(-delta * delta * ab * (m - 1) / 4.0)
 
 
-def ownership_bits(bits: np.random.BitGenerator, alpha: float, out: np.ndarray) -> np.ndarray:
-    """Fill the bool array ``out``, in C order, with Bernoulli(alpha)
-    ownership bits from the next ceil(out.size / 2) raw 64-bit outputs of
-    ``bits`` (``random_raw``, which releases the GIL), and return it.
+def segment_stats(
+    rng: np.random.Generator, alpha: float, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ones, the runs of ones, the first bit and the last bit of
+    independent segments of n[i] Bernoulli(alpha) bits each, drawn from
+    their exact joint law with a few variates per segment.
 
-    Each output is two 32-bit lanes, low half first (a ``uint32`` view on a
-    little-endian host), and a bit is 1 when its lane is below
-    ceil(alpha * 2**32), alpha * 2**32 being exact in floating point.  So a
-    bit is 1 with probability ceil(alpha * 2**32) / 2**32, alpha to a
-    resolution of 2**-32.  An odd out.size discards the last output's high
-    lane.
+    Returns four arrays of n's shape: two int64 arrays, then two bool
+    arrays (a segment of no bits has all four 0).  Every length must be
+    below 999,999,999: numpy's hypergeometric takes counts below 10**9.
+
+    The law.  A segment of n bits has s ones and k = n - s zeros, s being
+    Binomial(n, alpha).  Given s, every arrangement of the bits is equally
+    likely.  Its runs of ones sit in the k + 1 gaps around the zeros, at
+    most one run per gap, the two end gaps included.  Choosing r of the
+    gaps and cutting the s ones into r non-empty runs gives
+    C(k + 1, r) * C(s - 1, r - 1) of the C(n, s) arrangements, so for
+    0 < s < n, r - 1 is Hypergeometric(ngood = s - 1, nbad = k + 1,
+    nsample = k) (Mood, "The Distribution Theory of Runs", Ann. Math.
+    Stat. 1940); r = 0 if s = 0 and r = 1 if k = 0.  Every one of the
+    C(k + 1, r) choices of gaps has the same C(s - 1, r - 1) arrangements,
+    so given r the occupied gaps are a uniform r-subset: the number of end
+    gaps among them is Hypergeometric(2, k - 1, r), and when it is one,
+    it is the first or the last gap with probability 1/2 each.  The first
+    bit is 1 when the first gap is occupied, the last bit when the last
+    one is.  At k = 0 the one gap is both ends.
+
+    The draws, each over all segments in C order: the binomials, then the
+    run counts, then the end-gap counts, then one coin per segment.  alpha
+    enters only the binomial, at full double precision.
     """
-    lanes = bits.random_raw(-(-out.size // 2)).view(np.uint32)[: out.size]
-    return np.less(lanes.reshape(out.shape), math.ceil(alpha * 2**32), out=out)
+    n = np.asarray(n, dtype=np.int64)
+    ones = rng.binomial(n, alpha)
+    zeros = n - ones
+    runs = rng.hypergeometric(np.maximum(ones - 1, 0), zeros + 1, zeros)
+    runs = np.where(ones > 0, runs + 1, 0)
+    ends = rng.hypergeometric(2, np.maximum(zeros - 1, 0), runs)
+    ends = np.where(zeros > 0, ends, 2 * runs)
+    coin = rng.integers(0, 2, n.shape, dtype=bool)
+    first = (ends == 2) | ((ends == 1) & coin)
+    last = (ends == 2) | ((ends == 1) & ~coin)
+    return ones, runs, first, last
 
 
-# Rows of trials held at once, over all threads, and the ownership bits one
-# batch may hold unless a single trial has more; together they bound the buffers.
-_BATCH = 64
-_BATCH_BITS = 1 << 22
+# Bits per segment of a pair trial (segment_stats needs fewer than 10**9),
+# segments drawn at once, and the longest trial, the simulator's horizon
+# bound: one of 10**10 bits is 19 segments, so a trial's cost stays bounded.
+_SEGMENT = 1 << 29
+_CHUNK = 1 << 16
+_MAX_M = 10**10
 
 
 @dataclass(frozen=True)
@@ -103,97 +119,42 @@ def empirical_pair_summary(
     """Monte Carlo estimate of how often Z deviates from alpha*beta*(m-1)
     by more than the delta fraction, plus the mean of Z itself.
 
-    Each sequence draws every bit Bernoulli(alpha) with the first bit forced
-    to 0.  The bits come row-major from one PCG64 stream seeded with
-    ``seed``, two per raw 64-bit output (ownership_bits: alpha to a
-    resolution of 2**-32), so trial t always starts at raw output
-    t * ceil(m/2); for odd m each trial's last lane is discarded.  The
-    trials are therefore split into W contiguous parts, W being the CPUs the
-    process may run on (capped at the rows of a batch), and one
-    ThreadPoolExecutor of W threads runs every part, each from a generator
-    advanced to its first trial's offset.  The hit count and the sum of Z
-    are integer sums, so the result depends on the seed alone, not on W or
-    on the batch size.  A batch holds at most _BATCH rows and, unless one
-    trial is longer, _BATCH_BITS bits.  The parts share its bit and (1,0)
-    pair-flag buffers, all allocated before any part starts, and each part
-    draws a batch's raw outputs into a fresh array, so memory is about 6
-    bytes per bit of one batch whatever the number of trials.  Every
-    parameter is checked before anything is drawn.  A failing part sets the
-    stop event and its exception is raised here; an interrupted caller sets
-    it too.  Either way the other parts quit at their next batch, and all
-    have ended before this returns or raises.
+    Each trial is a 0 bit followed by m - 1 Bernoulli(alpha) bits, cut into
+    the fewest near-equal segments of at most _SEGMENT bits.  Within a
+    segment every run of ones but a final one is followed by a 0, so the
+    segment holds runs - last (1,0) pairs; a pair across two segments is a
+    segment ending in 1 followed by one starting with 0; the leading 0 bit
+    starts no pair.  So Z is a sum over segment_stats draws, and a trial
+    costs a few variates per segment whatever m is.  The trials are drawn
+    in chunks of max(1, _CHUNK // segments per trial) from one PCG64 stream
+    seeded with ``seed``: each chunk makes one segment_stats call over its
+    trials' segments in trial order.  Memory is a few arrays of one chunk,
+    whatever m and the number of trials.  Every parameter, m at most
+    _MAX_M included, is checked before anything is drawn.
     """
     if trials < 1:
         raise SequenceError("trials must be at least 1")
     if not 0.0 <= alpha <= 1.0:
         raise SequenceError("alpha out of [0,1]")
-    if m < 2:
-        raise SequenceError("m must be at least 2")
+    if not 2 <= m <= _MAX_M:
+        raise SequenceError(f"m must be between 2 and {_MAX_M}, got {m}")
     if not 0.0 < delta < 1.0:
         raise SequenceError("delta must be in (0,1)")
     center = alpha * (1.0 - alpha) * (m - 1)
     threshold = delta * center
-    words = (m + 1) // 2  # raw outputs per trial
-    rows = min(_BATCH, trials, max(1, _BATCH_BITS // m))
-    workers = min(_cpus(), rows)
-    x = np.empty((rows, 2 * words), dtype=bool)
-    # Pair flags, each row zero-padded to whole 64-bit words for bitwise_count.
-    pairs = np.zeros((rows, -(-(m - 1) // 8) * 8), dtype=bool)
-    stop = threading.Event()  # set by a failing part or an interrupted caller
-
-    def part(j: int) -> tuple[int, int]:
-        try:
-            lo, hi = trials * j // workers, trials * (j + 1) // workers
-            bits = np.random.PCG64(seed)  # default_rng(seed)'s bit generator
-            bits.advance(lo * words)
-            r = slice(rows * j // workers, rows * (j + 1) // workers)
-            return _count_trials(
-                bits, alpha, m, center, threshold, hi - lo, x[r], pairs[r], stop
-            )
-        except BaseException:
-            stop.set()
-            raise
-
-    # Deferred: it imports logging and queue, which the other commands never need.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            results = list(pool.map(part, range(workers)))
-        except BaseException:
-            stop.set()
-            raise
-    hits = sum(h for h, _ in results)
-    z_sum = sum(z for _, z in results)
+    parts = -(-(m - 1) // _SEGMENT)
+    lengths = np.diff(np.arange(parts + 1) * (m - 1) // parts)
+    rows = max(1, _CHUNK // parts)
+    rng = np.random.default_rng(seed)
+    hits = z_sum = 0
+    for done in range(0, trials, rows):
+        n = np.broadcast_to(lengths, (min(rows, trials - done), parts))
+        _, runs, first, last = segment_stats(rng, alpha, n)
+        z = (runs - last).sum(axis=1) + (last[:, :-1] & ~first[:, 1:]).sum(axis=1)
+        hits += int(np.count_nonzero(np.abs(z - center) > threshold))
+        z_sum += int(z.sum())
     return PairDeviationSummary(
         deviation_fraction=hits / trials,
         mean_z=z_sum / trials,
         expected_pairs=center,
     )
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _count_trials(bits, alpha, m, center, threshold, trials, x, pairs, stop):
-    """(deviation hits, sum of Z) over the next ``trials`` rows of the bit
-    generator ``bits``, in batches of the rows of x and pairs; stops once
-    ``stop`` is set."""
-    hits = 0
-    z_sum = 0
-    remaining = trials
-    while remaining > 0 and not stop.is_set():
-        n = min(len(x), remaining)
-        ownership_bits(bits, alpha, x[:n])
-        x[:n, 0] = False
-        np.greater(x[:n, : m - 1], x[:n, 1:m], out=pairs[:n, : m - 1])
-        z = np.bitwise_count(pairs[:n].view(np.uint64)).sum(axis=1)
-        hits += int(np.count_nonzero(np.abs(z - center) > threshold))
-        z_sum += int(z.sum())
-        remaining -= n
-    return hits, z_sum

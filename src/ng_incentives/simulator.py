@@ -7,15 +7,15 @@ mean-length interval), split between the issuing leader (fraction r) and
 the next key-block miner (1 - r).  Attacks orphan part of the fee mass of
 the intervals they touch.  These interval strategies reduce every interval
 to its category (who mined the key blocks at its two ends) and its fee
-mass, so a run keeps counts and fee sums per batch and category and one
-slice of draws, whatever its length.  In exponential mode a cell's fee sum,
-the sum of its n intervals' Exp(1) lengths, is drawn as one Gamma(n, 1)
-variate, its exact law: the seeded stream is the m ownership bits, two
-32-bit lanes per raw 64-bit output (alpha to a resolution of 2**-32), then
-one gamma draw per (batch, category) cell.  The rollout of a solved
-selfish-mining policy instead draws one 64-bit uniform per key block and
-counts one fee unit per key-block interval, as the decision process does,
-so it ignores the interval mode.
+mass, so a run keeps counts and fee sums per batch and category, whatever
+its length.  Each batch's counts follow from four sufficient statistics of
+its key blocks' ownership bits, drawn from their exact law
+(concentration.segment_stats), and in exponential mode a cell's fee sum,
+the sum of its n intervals' Exp(1) lengths, is one Gamma(n, 1) variate, its
+exact law; so a run draws a few variates per batch and none per key block.
+The rollout of a solved selfish-mining policy instead draws one 64-bit
+uniform per key block and counts one fee unit per key-block interval, as
+the decision process does, so it ignores the interval mode.
 
 Both simulators report as std_error the batch-means standard error of the
 revenue ratio over _BATCHES batches of consecutive intervals or key blocks;
@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .concentration import ownership_bits
+from .concentration import segment_stats
 from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, SolveResult
 from .model import ProtocolParams, RewardWeights
 
@@ -128,7 +128,7 @@ def run(config: SimConfig) -> SimReport:
 
 # Interval categories, 2 * leader + next with 1 for a selfish block.
 _HH, _HS, _SH, _SS = range(4)
-_SLICE = 1 << 15  # draws per generator call in both simulators
+_SLICE = 1 << 15  # draws per generator call in the policy rollout
 _BATCHES = 512  # batch means behind both simulators' standard error
 
 
@@ -162,19 +162,22 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     is one Gamma(n_c, 1) draw, Marsaglia-Tsang in numpy; an empty cell's is
     exactly 0.  Deterministic intervals give sum(f) = n_c.
 
-    Block i's ownership bit is lane i of the seeded PCG64 stream, two per
-    raw 64-bit output (concentration.ownership_bits: alpha to a resolution
-    of 2**-32).  Block 0's lane is drawn and discarded, the starting ancestor
-    being honest by convention.  The stream is the ceil(m / 2) raw outputs
-    of the m blocks (every slice but the last has an even _SLICE blocks),
-    then one Gamma(n_c, 1) per cell in cell order.  One pass counts each
-    slice's intervals as it draws them, carrying the previous slice's last
-    block: np.add.reduceat at the slice's batch edges sums, per batch, the
-    intervals led by a selfish block, those ended by one, and those both
-    led and ended by one, which gives n_SS, n_SH = led - n_SS, n_HS =
-    ended - n_SS and n_HH as the rest.  A run holds one slice of lanes and
-    bits and three counts per batch, then a count and fee sum per cell, of
-    which there are fewer than 8 * _BATCHES.
+    Batch b holds intervals f_b to f_b + len_b - 1, so it reads blocks f_b
+    to f_b + len_b: its carry c_b, block f_b, is the previous batch's last
+    block (c_0 = 0: block 0, the starting ancestor, is honest), and its
+    len_b new blocks are one segment.  From the segment's ones s, runs of
+    ones, first bit and last bit, the batch's intervals led by a selfish
+    block, ended by one, and both led and ended by one are
+
+        led = c + s - last,  ended = s,  both = (c and first) + s - runs,
+
+    a run of u ones holding u - 1 adjacent selfish pairs.  These give
+    n_SS = both, n_SH = led - n_SS, n_HS = ended - n_SS and n_HH as the
+    rest.  The seeded stream is one concentration.segment_stats call over
+    the batches in order (all their binomials, then their run counts, then
+    their end-gap counts, then their coins; alpha at full double
+    precision), then one Gamma(n_c, 1) per cell in cell order.  A run holds a few numbers
+    per batch, and there are fewer than 2 * _BATCHES batches.
     """
     p = config.params
     m = config.horizon_keyblocks
@@ -182,28 +185,13 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
 
     size = max(1, m // _BATCHES)
     firsts = np.arange(0, m - 1, size)  # each batch's first interval
-    # Per batch, intervals led by a selfish block, ended by one, and both.
-    led, ended, both = (np.zeros(firsts.size, np.int64) for _ in range(3))
-    # The previous slice's last block, then this slice's blocks.
-    selfish = np.empty(min(_SLICE, m) + 1, dtype=bool)
-    flags = np.empty(min(_SLICE, m), dtype=bool)
-    for start in range(0, m, _SLICE):
-        n = min(_SLICE, m - start)
-        ownership_bits(rng.bit_generator, p.alpha, selfish[1 : n + 1])
-        # selfish[j] is block start - 1 + j, which leads interval start - 1 + j.
-        j = 0
-        if start == 0:
-            selfish[1] = False  # block 0, the starting ancestor, is honest
-            j = 1  # and leads interval 0
-        first = start - 1 + j
-        leader, nxt = selfish[j:n], selfish[j + 1 : n + 1]
-        lo, hi = first // size, (start + n - 2) // size + 1
-        edges = np.maximum(np.arange(lo, hi) * size - first, 0)
-        ss = np.logical_and(leader, nxt, out=flags[: leader.size])
-        for total, bits in ((led, leader), (ended, nxt), (both, ss)):
-            total[lo:hi] += np.add.reduceat(bits, edges, dtype=np.int32)
-        selfish[0] = selfish[n]
     length = np.diff(firsts, append=m - 1)
+    ones, runs, first, last = segment_stats(rng, p.alpha, length)
+    carry = np.concatenate(([False], last[:-1]))
+    # Per batch, intervals led by a selfish block, ended by one, and both.
+    led = carry + ones - last
+    ended = ones
+    both = (carry & first) + ones - runs
     # One row per batch, one column per category (_HH, _HS, _SH, _SS).
     cell_count = np.stack([length - led - ended + both, ended - both, led - both, both], axis=1)
     if config.interval_mode == "exponential":

@@ -4,21 +4,22 @@ state, the stationary distribution and exact long-run revenue of a fixed
 policy and the number of closed classes of its chain, the optimal gain of
 a reward by plain relative value iteration, Eyal-Sirer SM1 selfish mining
 ("Majority is not Enough", arXiv:1311.0243) as a fixed MDP policy with its
-closed-form relative revenue, the exact mean and variance of the pair
-count Z, the 32-bit lanes of a generator's raw outputs, and the interval
-simulation computed with one array entry per interval, both from the
-simulator's seeded stream and as its plain model with one Exp(1) fee mass
-per interval."""
+closed-form relative revenue, the adjacent pairs of an ownership sequence
+and the exact mean and variance of the pair count Z, a per-bit stand-in for
+concentration.segment_stats, and the interval simulation computed with one
+array entry per interval, both from that stand-in's bits and as its plain
+model with one Exp(1) fee mass per interval."""
 import math
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import spsolve
 
-from ng_incentives.concentration import count_pairs
+from ng_incentives.concentration import SequenceError
 from ng_incentives.mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, TransitionTable
 from ng_incentives.simulator import Extension, Inclusion, SimConfig, SimReport
 
@@ -196,6 +197,23 @@ def sm1_revenue(alpha: float, gamma: float) -> float:
     ) / (1 - alpha * (1 + (2 - alpha) * alpha))
 
 
+@dataclass(frozen=True)
+class PairCounts:
+    z: int  # adjacent (1, 0) pairs
+    k: int  # adjacent (0, 1) pairs
+    m: int  # sequence length
+
+
+def count_pairs(bits: Sequence[int]) -> PairCounts:
+    """Count adjacent (1,0) and (0,1) pairs over the m-1 adjacent positions."""
+    if len(bits) < 2:
+        raise SequenceError("ownership sequence needs at least 2 elements")
+    x = np.asarray(bits, dtype=bool)
+    z = int(np.count_nonzero(x[:-1] & ~x[1:]))
+    k = int(np.count_nonzero(~x[:-1] & x[1:]))
+    return PairCounts(z=z, k=k, m=len(bits))
+
+
 def pair_moments(alpha: float, m: int) -> tuple[float, float]:
     """Exact mean and variance of Z, the adjacent (1, 0) pairs of m
     ownership bits whose first bit is 0 and whose others are independent
@@ -215,25 +233,40 @@ def pair_moments(alpha: float, m: int) -> tuple[float, float]:
     return n * p, n * p * (1.0 - p) - 2.0 * (n - 1) * p * p
 
 
-def lanes(rng, n: int) -> np.ndarray:
-    """The next n 32-bit lanes of rng's raw 64-bit outputs, low half first;
-    an odd n discards the last output's high half."""
-    raw = rng.bit_generator.random_raw(-(-n // 2))
-    return np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=-1).reshape(-1)[:n]
+def ownership(rng, alpha: float, n: int) -> np.ndarray:
+    """The next n ownership bits of rng, bit i being 1 when the i-th
+    uniform double is below alpha.  One draw per bit, so n bits drawn in
+    any number of calls are the same bits."""
+    return rng.random(n) < alpha
+
+
+def per_bit_segment_stats(rng, alpha: float, n):
+    """concentration.segment_stats counted bit by bit: the ones, the runs
+    of ones, the first bit and the last bit of each segment of n (any
+    shape, segments in C order) cut from one ownership() draw of sum(n)
+    bits."""
+    n = np.asarray(n)
+    bits = ownership(rng, alpha, int(n.sum()))
+    stats = np.zeros((4, n.size), np.int64)
+    for i, seg in enumerate(np.split(bits, np.cumsum(n.ravel())[:-1])):
+        if seg.size:
+            runs = int(seg[0]) + int(np.count_nonzero(~seg[:-1] & seg[1:]))
+            stats[:, i] = (np.count_nonzero(seg), runs, seg[0], seg[-1])
+    ones, runs, first, last = stats.reshape((4, *n.shape))
+    return ones, runs, first.astype(bool), last.astype(bool)
 
 
 def interval_reference(config: SimConfig) -> SimReport:
     """The interval simulation with full-length per-interval arrays, from
-    the simulator's seeded stream: ceil(m / 2) raw 64-bit outputs read as
-    m 32-bit lanes, low half first, block i being selfish when lane i is
-    below alpha * 2**32; then one Gamma(n, 1) fee sum per (batch, category)
+    the seeded stream of a simulator whose segment_stats is
+    per_bit_segment_stats: block 0 honest and blocks 1 to m - 1 one
+    ownership() draw; then one Gamma(n, 1) fee sum per (batch, category)
     cell in cell order, n being the cell's interval count.  Every report
     field is linear in a cell's fee sum, so the whole sum sits on the
     cell's first interval and its other intervals carry none."""
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
-    selfish = lanes(rng, m) * 2.0**-32 < config.params.alpha
-    selfish[0] = False
+    selfish = np.concatenate(([False], ownership(rng, config.params.alpha, m - 1)))
     if config.interval_mode == "exponential":
         # Batches of max(1, m // 512) consecutive intervals, four cells each.
         batch = np.arange(m - 1) // max(1, m // 512)
@@ -251,9 +284,9 @@ def interval_reference(config: SimConfig) -> SimReport:
 def interval_exponential_reference(config: SimConfig) -> SimReport:
     """The interval simulation as its plain model, one interval at a time:
     all m ownership uniforms, then m - 1 Exp(1) fee masses, one per
-    interval.  The simulator draws ownership from 32-bit lanes and each
-    cell's fee sum as one gamma variate, so this shares its law, up to the
-    lanes' 2**-32 resolution of alpha, but not its seeded stream."""
+    interval.  The simulator draws each batch's ownership statistics and
+    each cell's fee sum from their exact laws, so this shares its law but
+    not its seeded stream."""
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
     selfish = rng.random(m) < config.params.alpha

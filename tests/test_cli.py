@@ -1,17 +1,19 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 from ng_incentives import concentration
 from ng_incentives.cli import main, parse_grid
+
+from oracles import pair_moments
 
 FIXTURE = str(Path(__file__).parent / "data" / "fees_fixture.csv")
 
@@ -140,6 +142,8 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["fees", "--input", FIXTURE, "--edges", "0.5"],
         # Holds no O(m) memory, so only the horizon bound stops it.
         ["simulate", "--strategy", "mdpPolicy", "--m", "1000000000000000", "--L", "4"],
+        # An unknown flag is named before a missing required one.
+        ["bounds", "--class", "whale", "--bogus"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -149,7 +153,7 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    for flag in ("--seed", "--edges"):
+    for flag in ("--seed", "--edges", "--bogus"):
         if flag in argv:
             assert flag in err
 
@@ -315,24 +319,32 @@ def test_pairs_row(capsys):
 
 
 def test_pairs_worker_failure_is_one_error_line(monkeypatch, capsys):
-    # Every part runs on a pool thread, none on the caller; each one fails.
-    failed_on = []
-
+    # A failure inside the pair kernel's sampler is one error line.
     def fails(*args):
-        failed_on.append(threading.current_thread())
         raise MemoryError("injected")
 
-    monkeypatch.setattr(concentration, "_cpus", lambda: 3)
-    monkeypatch.setattr(concentration, "_count_trials", fails)
-    before = set(threading.enumerate())
+    monkeypatch.setattr(concentration, "segment_stats", fails)
     code, out, err = _run(
         capsys,
         "pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--trials", "100",
     )
     assert code == 1 and out == ""
     assert err == "error: injected\n"
-    assert failed_on and threading.main_thread() not in failed_on
-    assert set(threading.enumerate()) == before  # every part's thread has ended
+
+
+def test_pairs_past_one_segment_has_the_exact_mean(capsys):
+    # m - 1 = 2**30 + 2 bits make three segments per trial; mean_z lies
+    # within 4 standard errors of E[Z] (oracles.pair_moments).
+    m, trials = 1_073_741_827, 64
+    code, out, _ = _run(
+        capsys,
+        "pairs", "--alpha", "0.3", "--m", str(m), "--delta", "0.1",
+        "--trials", str(trials), "--seed", "2",
+    )
+    assert code == 0
+    (row,) = _json_payload(out)
+    mean, var = pair_moments(0.3, m)
+    assert abs(row["mean_z"] - mean) < 4 * math.sqrt(var / trials)
 
 
 def test_fees_outputs_cdf_and_classification(capsys):

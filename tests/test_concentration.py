@@ -1,32 +1,31 @@
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from ng_incentives import concentration as cc
 
-from oracles import lanes, pair_moments
+from oracles import count_pairs, ownership, pair_moments, per_bit_segment_stats
 
 
 def test_count_pairs_basic():
-    pc = cc.count_pairs([0, 1, 0, 0, 1, 1, 0])
+    pc = count_pairs([0, 1, 0, 0, 1, 1, 0])
     assert (pc.z, pc.k, pc.m) == (2, 2, 7)
 
 
 def test_count_pairs_short_sequence_rejected():
     with pytest.raises(cc.SequenceError):
-        cc.count_pairs([1])
+        count_pairs([1])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=200))
 def test_pair_counts_differ_by_at_most_one(bits):
     # (1,0) and (0,1) pairs alternate along any sequence.
-    pc = cc.count_pairs(bits)
+    pc = count_pairs(bits)
     assert abs(pc.z - pc.k) <= 1
     assert pc.z + pc.k <= pc.m - 1
 
@@ -93,102 +92,120 @@ def test_empirical_summary_rejects_delta(alpha, delta):
         cc.empirical_pair_summary(alpha, 100, delta, trials=10, seed=0)
 
 
-def test_empirical_deviation_matches_direct_counting():
-    # Cross-check the batched trial loop against count_pairs over one draw
-    # of all trials at once, trial t from raw output t * ceil(m / 2); more
-    # trials than one batch, so the result must not depend on where the
-    # batches split.
-    alpha, m, delta, seed, trials = 0.4, 60, 0.3, 7, 1_100
-    summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
-    rng = np.random.default_rng(seed)
-    center = alpha * (1 - alpha) * (m - 1)
-    hits = z_sum = 0
-    x = lanes(rng, trials * m).reshape(trials, m) * 2.0**-32 < alpha
-    x[:, 0] = False
-    for row in x:
-        z = cc.count_pairs(row.astype(int)).z
-        hits += abs(z - center) > delta * center
-        z_sum += z
-    assert summary.deviation_fraction == hits / trials
-    assert summary.mean_z == z_sum / trials
+def _exhaustive_law(alpha: float, n: int) -> dict:
+    """Probability of each (ones, runs of ones, first bit, last bit) of n
+    Bernoulli(alpha) bits, summed over all 2**n sequences."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    ones = bits.sum(axis=1)
+    runs = bits[:, 0] + (~bits[:, :-1] & bits[:, 1:]).sum(axis=1)
+    law: dict = {}
+    for key, k in zip(zip(ones, runs, bits[:, 0], bits[:, -1]), ones):
+        key = tuple(int(v) for v in key)
+        law[key] = law.get(key, 0.0) + alpha**k * (1.0 - alpha) ** (n - k)
+    return law
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_segment_stats_matches_exhaustive_law(n, alpha):
+    # A chi-square test of 100k draws against the enumerated law, bins
+    # expected to hold fewer than 5 draws pooled into one; a draw outside
+    # the law's support fails at once.
+    draws = 100_000
+    law = _exhaustive_law(alpha, n)
+    rng = np.random.default_rng(100 * n + round(10 * alpha))
+    stats = cc.segment_stats(rng, alpha, np.full(draws, n))
+    seen: dict = {}
+    for key in zip(*(np.asarray(x, np.int64).tolist() for x in stats)):
+        seen[key] = seen.get(key, 0) + 1
+    assert set(seen) <= set(law), set(seen) - set(law)
+    expected = np.array([draws * law[key] for key in law])
+    observed = np.array([seen.get(key, 0) for key in law])
+    small = expected < 5
+    expected = np.append(expected[~small], expected[small].sum())
+    observed = np.append(observed[~small], observed[small].sum())
+    if not small.any():
+        expected, observed = expected[:-1], observed[:-1]
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(stat, len(expected) - 1) > 1e-3, stat
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, cc._SEGMENT])
+def test_segment_stats_is_exact_at_alpha_0_and_1(n):
+    rng = np.random.default_rng(0)
+    lengths = np.full(3, n)
+    ones, runs, first, last = cc.segment_stats(rng, 0.0, lengths)
+    assert not (ones.any() or runs.any() or first.any() or last.any())
+    ones, runs, first, last = cc.segment_stats(rng, 1.0, lengths)
+    assert (ones == n).all() and (runs == min(n, 1)).all()
+    assert (first == (n > 0)).all() and (last == (n > 0)).all()
+
+
+def test_segment_stats_mean_runs_at_a_million_bits():
+    # E[runs] = alpha + (n - 1) * alpha * beta: bit 0 starts a run when it
+    # is 1, bit i > 0 when it is 1 and bit i - 1 is 0.
+    alpha, n, draws = 0.3, 10**6, 20_000
+    _, runs, _, _ = cc.segment_stats(np.random.default_rng(4), alpha, np.full(draws, n))
+    mean = alpha + (n - 1) * alpha * (1 - alpha)
+    assert abs(runs.mean() - mean) < 4 * runs.std(ddof=1) / math.sqrt(draws)
 
 
 def _direct_summary(alpha, m, delta, trials, seed):
-    # count_pairs over one row-major draw of all trials from one stream:
-    # ceil(m / 2) raw outputs per trial, the last lane unused for odd m.
+    # count_pairs over each trial, a 0 bit then m - 1 ownership bits, the
+    # trials' bits drawn in trial order from one stream.
     rng = np.random.default_rng(seed)
     center = alpha * (1 - alpha) * (m - 1)
     hits = z_sum = 0
-    words = (m + 1) // 2
-    x = lanes(rng, trials * 2 * words).reshape(trials, 2 * words)[:, :m] * 2.0**-32 < alpha
-    x[:, 0] = False
+    x = np.zeros((trials, m), dtype=bool)
+    x[:, 1:] = ownership(rng, alpha, trials * (m - 1)).reshape(trials, m - 1)
     for row in x:
-        z = cc.count_pairs(row.astype(int)).z
+        z = count_pairs(row.astype(int)).z
         hits += abs(z - center) > delta * center
         z_sum += z
     return cc.PairDeviationSummary(hits / trials, z_sum / trials, center)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
-@pytest.mark.parametrize(
-    "trials, m",
-    [
-        (7, 500),  # not divisible by 2, 3 or 5
-        (2, 500),  # fewer trials than workers
-        (1, 500),
-        (50, 2),  # one pair position
-        (700, 60),  # more than one batch per worker
-        (7, 3),  # odd m: each trial discards its last lane
-        (700, 61),
-    ],
-)
-def test_empirical_summary_does_not_depend_on_worker_count(monkeypatch, workers, trials, m):
-    monkeypatch.setattr(cc, "_cpus", lambda: workers)
-    alpha, delta, seed = 0.4, 0.3, 11
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
-    try:
-        summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
-    finally:
-        sys.setswitchinterval(switch)
+def test_empirical_deviation_matches_direct_counting(monkeypatch):
+    # With segment_stats counted from bits (the per-bit stand-in), the
+    # kernel's sum over segments must be count_pairs' Z exactly.
+    monkeypatch.setattr(cc, "segment_stats", per_bit_segment_stats)
+    alpha, m, delta, seed, trials = 0.4, 60, 0.3, 7, 1_100
+    summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
     assert summary == _direct_summary(alpha, m, delta, trials, seed)
 
 
-def test_failing_part_stops_its_sibling_at_the_next_batch(monkeypatch):
-    # The first part to start waits until its sibling has started too, so
-    # the two run on two threads at once, then fails.  The sibling blocks
-    # until the stop event is set and only then runs its real batch loop,
-    # which must return before drawing a single row.
-    count_trials = cc._count_trials
-    lock = threading.Lock()
-    calls = []
-    sibling_started = threading.Event()
-    sibling = []
+@pytest.mark.parametrize("segment, chunk", [(cc._SEGMENT, cc._CHUNK), (7, 5), (1, 1)])
+@pytest.mark.parametrize(
+    "trials, m",
+    [
+        (7, 500),
+        (2, 500),
+        (1, 500),
+        (50, 2),  # one pair position
+        (700, 60),
+        (7, 3),
+        (700, 61),
+    ],
+)
+def test_pair_segments_and_chunks_match_direct_counting(monkeypatch, trials, m, segment, chunk):
+    # Trials cut into segments of at most `segment` bits and drawn
+    # `chunk` segments at a time: with the per-bit stand-in every junction
+    # between segments and every chunk edge must leave Z exact.
+    monkeypatch.setattr(cc, "segment_stats", per_bit_segment_stats)
+    monkeypatch.setattr(cc, "_SEGMENT", segment)
+    monkeypatch.setattr(cc, "_CHUNK", chunk)
+    alpha, delta, seed = 0.4, 0.3, 11
+    summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
+    assert summary == _direct_summary(alpha, m, delta, trials, seed)
 
-    def patched(*args):
-        stop = args[-1]
-        with lock:
-            calls.append(None)
-            first = len(calls) == 1
-        if first:
-            assert sibling_started.wait(10)
-            raise MemoryError("injected")
-        sibling_started.set()
-        sibling.append(stop.wait(10))
-        sibling.append(count_trials(*args))
-        return sibling[-1]
 
-    monkeypatch.setattr(cc, "_cpus", lambda: 2)
-    monkeypatch.setattr(cc, "_count_trials", patched)
-    before = set(threading.enumerate())
-    with pytest.raises(MemoryError, match="injected"):
-        cc.empirical_pair_summary(0.3, 101, 0.2, trials=100, seed=0)
-    assert sibling == [True, (0, 0)]
-    assert set(threading.enumerate()) == before
+def test_empirical_summary_rejects_trials_longer_than_the_cap():
+    with pytest.raises(cc.SequenceError, match="m must be between 2 and"):
+        cc.empirical_pair_summary(0.3, cc._MAX_M + 1, 0.1, trials=1, seed=0)
 
 
 def test_empirical_summary_memory_is_bounded():
-    # Only one batch of draws is held at a time: 10k x 10,001 draws are 800 MB.
+    # No per-bit array is held: 10k x 10,001 draws are 800 MB.
     tracemalloc.start()
     try:
         cc.empirical_pair_summary(0.3, 10_001, 0.1, 10_000, seed=1)
@@ -199,8 +216,7 @@ def test_empirical_summary_memory_is_bounded():
 
 
 def test_empirical_summary_memory_is_bounded_by_bits():
-    # A batch holds at most _BATCH_BITS bits unless one trial is longer, so
-    # long trials run one row at a time: 64 rows of 4M bits would be 1.5 GB.
+    # No per-bit array is held at any m: 64 rows of 4M bits would be 1.5 GB.
     tracemalloc.start()
     try:
         cc.empirical_pair_summary(0.3, 4_000_000, 0.1, 64, seed=1)
@@ -208,3 +224,15 @@ def test_empirical_summary_memory_is_bounded_by_bits():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_empirical_summary_memory_is_bounded_in_trials():
+    # Trials are drawn _CHUNK segments at a time, so no array grows with
+    # the trials: 2**21 trials' run counts alone would be 16 MB.
+    tracemalloc.start()
+    try:
+        cc.empirical_pair_summary(0.3, 10_001, 0.1, 2**21, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -41,6 +41,7 @@ from oracles import (
     interval_exponential_reference,
     interval_reference,
     pair_moments,
+    per_bit_segment_stats,
     policy_of,
     policy_value,
     sm1_action,
@@ -133,13 +134,16 @@ _S = _SLICE
 
 @pytest.mark.parametrize("interval_mode", ["exponential", "deterministic"])
 @pytest.mark.parametrize("m", [2, 3, 1023, 1024, 1025, _S - 1, _S, _S + 1, _S + 2, 200_000])
-def test_interval_report_matches_per_interval_reference(m, interval_mode):
-    # The per-batch, per-category sums over sliced draws against full-length
-    # arrays from the same seeded stream; m around the slice length catches
-    # an off-by-one at a slice edge, and m around 1024 and _S + 1 (batches
-    # of 1, 2 or 64 intervals, dividing m - 1 or not) one at a batch edge.
+def test_interval_report_matches_per_interval_reference(m, interval_mode, monkeypatch):
+    # The per-batch, per-category sums from each batch's segment statistics
+    # against full-length arrays of the same bits: the simulator's
+    # segment_stats is the per-bit stand-in, which counts each batch's
+    # statistics from the bits the reference reads.  m around 1024 and
+    # _S + 1 (batches of 1, 2 or 64 intervals, dividing m - 1 or not)
+    # catches an off-by-one at a batch edge or in a batch's carry.
     # Summation order differs, so float fields get a tolerance; std_error is
     # exactly 0 in some configurations.
+    monkeypatch.setattr(simulator, "segment_stats", per_bit_segment_stats)
     strategies = [Honest(), Inclusion(0.5), Inclusion(1.0), Extension(0.5), Extension(1.0)]
     weights = [None, RewardWeights.from_regime("equal"), RewardWeights.from_regime("key")]
     grid = itertools.product(strategies, weights, [0.0, 0.3, 1.0], [0.0, 0.4, 1.0])
