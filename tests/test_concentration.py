@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -197,6 +199,46 @@ def test_pair_segments_and_chunks_match_direct_counting(monkeypatch, trials, m, 
     alpha, delta, seed = 0.4, 0.3, 11
     summary = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
     assert summary == _direct_summary(alpha, m, delta, trials, seed)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "trials, m",
+    [
+        (7, 500),  # not divisible by 2, 3 or 5
+        (2, 500),  # fewer trials than workers
+        (1, 500),
+        (50, 2),  # one pair position
+        (700, 60),
+        (7, 3),  # odd m
+        (700, 61),
+    ],
+)
+def test_empirical_summary_does_not_depend_on_worker_count(workers, trials, m):
+    # The kernel holds no state between calls, so `workers` threads running
+    # it at once, their switches interleaved as finely as possible, must
+    # each return what a lone call returns.
+    alpha, delta, seed = 0.4, 0.3, 11
+    alone = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(i):
+        start.wait(10)
+        results[i] = cc.empirical_pair_summary(alpha, m, delta, trials=trials, seed=seed)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [alone] * workers
 
 
 def test_empirical_summary_rejects_trials_longer_than_the_cap():
