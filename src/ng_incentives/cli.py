@@ -120,18 +120,29 @@ def _edges(text: str) -> list[float]:
         ) from None
     try:
         feescan.check_edges(edges)
-    except ValueError as e:
+    except ParameterError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
     return edges
 
 
 def _points(args, name: str) -> list[float]:
-    """The values of --NAME-grid if it was given, else [--NAME], one of
-    which is required when --NAME has no default."""
+    """The values of --NAME-grid if it was given, else [--NAME]."""
     grid = getattr(args, f"{name}_grid")
-    if grid is None and getattr(args, name) is None:
-        raise UsageError(f"one of the arguments --{name} --{name}-grid is required")
     return [getattr(args, name)] if grid is None else parse_grid(grid)
+
+
+def _check_required(args, prog: str) -> None:
+    """Name the missing required flags.  argparse checks required=True
+    before it names an unknown flag, so no flag sets it; args.required
+    holds one tuple of dests per required flag or exclusive group."""
+    missing = [
+        " or ".join("--" + dest.replace("_", "-") for dest in dests)
+        for dests in getattr(args, "required", ())
+        if all(getattr(args, dest) is None for dest in dests)
+    ]
+    if missing:
+        message = f"the following arguments are required: {', '.join(missing)}"
+        raise UsageError(f"{message} (see {prog} {args.subcommand} --help)")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -315,11 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="write output to file")
 
     p = sub.add_parser("bounds", help="split-ratio bounds over an alpha grid")
-    # Not required=True: argparse checks required groups before it reports
-    # an unknown flag, so _points checks it and an unknown flag is named.
     grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--alpha", type=float, default=None, help="this or --alpha-grid is required")
-    grid.add_argument("--alpha-grid", default=None, metavar="A:B:STEP")
+    grid.add_argument("--alpha", type=float, help="this or --alpha-grid is required")
+    grid.add_argument("--alpha-grid", metavar="A:B:STEP", help="this or --alpha is required")
     p.add_argument(
         "--class",
         dest="transaction_class",
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     common(p)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_bounds, required=[("alpha", "alpha_grid")])
 
     p = sub.add_parser("revenue", help="closed-form attack revenue over a rho grid")
     p.add_argument("--alpha", type=float, default=ProtocolParams.alpha)
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy",
         choices=("honest", "inclusion", "extension", "mdpPolicy"),
-        required=True,
+        help="required",
     )
     p.add_argument("--alpha", type=float, default=ProtocolParams.alpha)
     p.add_argument("--r", type=float, default=ProtocolParams.split_ratio)
@@ -380,19 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=REGIMES, default="fee", help="default: %(default)s")
     p.add_argument("--L", type=int, default=20)
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, required=[("strategy",)])
 
     p = sub.add_parser("pairs", help="pair-count concentration: empirical vs bound")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--alpha", type=float, help="required")
+    p.add_argument("--m", type=int, help="required")
+    p.add_argument("--delta", type=float, help="required")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=_seed, default=0)
     common(p)
-    p.set_defaults(func=cmd_pairs)
+    p.set_defaults(func=cmd_pairs, required=[("alpha",), ("m",), ("delta",)])
 
     p = sub.add_parser("fees", help="fee-dataset histogram, CDF, classification")
-    p.add_argument("--input", type=Path, required=True)
+    p.add_argument("--input", type=Path, help="required")
     p.add_argument(
         "--edges",
         type=_edges,
@@ -401,14 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--whale-threshold", type=float, default=0.0001)
     common(p)
-    p.set_defaults(func=cmd_fees)
+    p.set_defaults(func=cmd_fees, required=[("input",)])
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _check_required(args, parser.prog)
         metadata, rows = args.func(args)
         text = _render(args.format, {"version": __version__, **metadata}, rows)
         if args.out:
@@ -421,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (UsageError, ParameterError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

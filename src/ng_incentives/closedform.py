@@ -9,35 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-class DomainError(ValueError):
-    """Input outside the formula's domain."""
-
-
-def _check_fraction(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} out of [0,1]")
+from .model import require, require_fractions
 
 
 def inclusion_bound_original(alpha: float) -> float:
     """Lower bound on r that deters withholding of whale-carrying microblocks."""
-    _check_fraction(alpha, "alpha")
-    if alpha == 1.0:
-        raise DomainError("alpha must be < 1")
+    require_fractions(alpha=alpha)
+    require(alpha < 1.0, "alpha must be < 1")
     return 1.0 - (1.0 - alpha) / (1.0 + alpha - alpha * alpha)
 
 
 def inclusion_bound_yin(alpha: float) -> float:
     """Corrected inclusion lower bound accounting for leader re-election."""
-    _check_fraction(alpha, "alpha")
-    if alpha == 1.0:
-        raise DomainError("alpha must be < 1")
+    require_fractions(alpha=alpha)
+    require(alpha < 1.0, "alpha must be < 1")
     return alpha / (1.0 - alpha)
 
 
 def extension_bound(alpha: float) -> float:
     """Upper bound on r that deters skipping whale-carrying microblocks."""
-    _check_fraction(alpha, "alpha")
+    require_fractions(alpha=alpha)
     return (1.0 - alpha) / (2.0 - alpha)
 
 
@@ -81,8 +72,8 @@ def feasible_interval(alpha: float, transaction_class: str = "all") -> FeasibleI
     regular: the capacity-constrained interval (alpha, 1 - alpha).
     all: intersection of the two.
     """
-    if transaction_class not in TRANSACTION_CLASSES:
-        raise DomainError(f"unknown transaction class {transaction_class!r}")
+    known = transaction_class in TRANSACTION_CLASSES
+    require(known, f"unknown transaction class {transaction_class!r}")
     b = ratio_bounds(alpha)
     if transaction_class == "whale":
         lower = max(b.inclusion_lower_v1, b.inclusion_lower_v2)
@@ -97,16 +88,14 @@ def feasible_interval(alpha: float, transaction_class: str = "all") -> FeasibleI
 
 def inclusion_attack_revenue(alpha: float, r: float, rho: float) -> float:
     """Long-run relative revenue under the microblock-withholding attack."""
-    for value, name in ((alpha, "alpha"), (r, "r"), (rho, "rho")):
-        _check_fraction(value, name)
+    require_fractions(alpha=alpha, r=r, rho=rho)
     beta = 1.0 - alpha
     return (alpha - r * alpha * beta * rho) / (1.0 - alpha * beta * rho)
 
 
 def extension_attack_revenue(alpha: float, r: float, rho: float) -> float:
     """Long-run relative revenue under the microblock-rejection attack."""
-    for value, name in ((alpha, "alpha"), (r, "r"), (rho, "rho")):
-        _check_fraction(value, name)
+    require_fractions(alpha=alpha, r=r, rho=rho)
     beta = 1.0 - alpha
     return (alpha - (1.0 - r) * alpha * beta * rho) / (1.0 - alpha * beta * rho)
 
@@ -118,8 +107,7 @@ def optimal_inclusion_revenue(alpha: float, r: float) -> tuple[float, float]:
     behaviour (rho = 0) is optimal and the revenue is the fair share alpha.
     Ties at r = alpha resolve to rho = 1 with value alpha.
     """
-    _check_fraction(alpha, "alpha")
-    _check_fraction(r, "r")
+    require_fractions(alpha=alpha, r=r)
     if r <= alpha:
         return r + (alpha - r) / (1.0 - alpha * (1.0 - alpha)), 1.0
     return alpha, 0.0
@@ -131,8 +119,7 @@ def optimal_extension_revenue(alpha: float, r: float) -> tuple[float, float]:
     Rejecting everything pays exactly when r >= 1 - alpha; otherwise honest
     behaviour is optimal.  Ties at r = 1 - alpha resolve to rho = 1.
     """
-    _check_fraction(alpha, "alpha")
-    _check_fraction(r, "r")
+    require_fractions(alpha=alpha, r=r)
     beta = 1.0 - alpha
     if r >= beta:
         return (1.0 - r) + (r - beta) / (1.0 - alpha * beta), 1.0

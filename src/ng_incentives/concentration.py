@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class SequenceError(ValueError):
-    """Invalid ownership sequence or bound parameter."""
+from .model import MAX_KEYBLOCKS, require, require_fractions
 
 
 def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
@@ -36,16 +34,13 @@ def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
     Pr(|Z - E[Z]| > delta * E[Z]) by their total.  Only scanned: the
     returned constant, the lower-tail form at mu = ab(m-1)/2 for all four
     tails about the centre.  Against the exact law of Z (ROADMAP direction
-    5: alpha in [0.02, 0.98], m <= 1,500, 8 deltas) the exact tail was at
+    6: alpha in [0.02, 0.98], m <= 1,500, 8 deltas) the exact tail was at
     most 0.021 times it wherever it is below 1.  At alpha in {0, 1} ab is
     0, the event is empty and the bound is exactly 4.0.
     """
-    if not 0.0 < delta < 1.0:
-        raise SequenceError("delta must be in (0,1)")
-    if m < 2:
-        raise SequenceError("m must be at least 2")
-    if not 0.0 <= alpha <= 1.0:
-        raise SequenceError("alpha out of [0,1]")
+    require(0.0 < delta < 1.0, "delta must be in (0,1)")
+    require(m >= 2, "m must be at least 2")
+    require_fractions(alpha=alpha)
     ab = alpha * (1.0 - alpha)
     return 4.0 * math.exp(-delta * delta * ab * (m - 1) / 4.0)
 
@@ -94,12 +89,11 @@ def segment_stats(
     return ones, runs, first, last
 
 
-# Bits per segment of a pair trial (segment_stats needs fewer than 10**9),
-# segments drawn at once, and the longest trial, the simulator's horizon
-# bound: one of 10**10 bits is 19 segments, so a trial's cost stays bounded.
+# Bits per segment of a pair trial (segment_stats needs fewer than 10**9)
+# and segments drawn at once.  The longest trial, MAX_KEYBLOCKS bits, is 19
+# segments, so a trial's cost stays bounded.
 _SEGMENT = 1 << 29
 _CHUNK = 1 << 16
-_MAX_M = 10**10
 
 
 @dataclass(frozen=True)
@@ -130,16 +124,12 @@ def empirical_pair_summary(
     seeded with ``seed``: each chunk makes one segment_stats call over its
     trials' segments in trial order.  Memory is a few arrays of one chunk,
     whatever m and the number of trials.  Every parameter, m at most
-    _MAX_M included, is checked before anything is drawn.
+    MAX_KEYBLOCKS included, is checked before anything is drawn.
     """
-    if trials < 1:
-        raise SequenceError("trials must be at least 1")
-    if not 0.0 <= alpha <= 1.0:
-        raise SequenceError("alpha out of [0,1]")
-    if not 2 <= m <= _MAX_M:
-        raise SequenceError(f"m must be between 2 and {_MAX_M}, got {m}")
-    if not 0.0 < delta < 1.0:
-        raise SequenceError("delta must be in (0,1)")
+    require(trials >= 1, "trials must be at least 1")
+    require_fractions(alpha=alpha)
+    require(2 <= m <= MAX_KEYBLOCKS, f"m must be between 2 and {MAX_KEYBLOCKS}, got {m}")
+    require(0.0 < delta < 1.0, "delta must be in (0,1)")
     center = alpha * (1.0 - alpha) * (m - 1)
     threshold = delta * center
     parts = -(-(m - 1) // _SEGMENT)

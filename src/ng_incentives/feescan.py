@@ -8,6 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .model import require
+
 
 class FeeDataError(ValueError):
     """Malformed fee data; collects every bad line with its line number."""
@@ -72,14 +74,12 @@ class FeeDistribution:
 
 
 def check_edges(edges: Sequence[float]) -> None:
-    """Raise ValueError unless the bucket edges are two or more finite
+    """Raise ParameterError unless the bucket edges are two or more finite
     numbers in strictly ascending order."""
-    if len(edges) < 2:
-        raise ValueError("need at least two bucket edges")
-    if not np.isfinite(edges).all():
-        raise ValueError(f"bucket edges must be finite, got {edges}")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("bucket edges must be strictly ascending")
+    require(len(edges) >= 2, "need at least two bucket edges")
+    require(np.isfinite(edges).all(), f"bucket edges must be finite, got {edges}")
+    ascending = all(a < b for a, b in zip(edges, edges[1:]))
+    require(ascending, "bucket edges must be strictly ascending")
 
 
 def distribution(fees: np.ndarray, edges: Iterable[float]) -> FeeDistribution:
@@ -110,8 +110,7 @@ class Classification:
 
 def classify(fees: np.ndarray, whale_threshold: float) -> Classification:
     """Split fees into regular (fee < threshold) and whale transactions."""
-    if not 0.0 < whale_threshold < np.inf:
-        raise ValueError("whale_threshold must be positive and finite")
+    require(0.0 < whale_threshold < np.inf, "whale_threshold must be positive and finite")
     fees = np.asarray(fees, dtype=float)
     if fees.size == 0:
         raise ValueError("no fee records")

@@ -60,7 +60,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import ProtocolParams, RewardWeights
+from .model import ProtocolParams, RewardWeights, require
 
 
 class Fork(IntEnum):
@@ -273,8 +273,7 @@ class TransitionTable:
 
     def __init__(self, params: ProtocolParams, truncation: int):
         # The table grows as L^2: L = 100 takes 0.7 s and 150 MB to build.
-        if not 2 <= truncation <= 100:
-            raise ValueError("truncation must be between 2 and 100")
+        require(2 <= truncation <= 100, "truncation must be between 2 and 100")
         # Deferred so that importing the package does not load scipy.
         from scipy import sparse
 

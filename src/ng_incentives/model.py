@@ -1,7 +1,9 @@
-"""Shared protocol parameters and reward-weight types.
+"""Shared protocol parameters, reward-weight types and range checks.
 
 All types here are immutable values; construction checks every
 invariant so downstream code never sees an out-of-range parameter.
+Every module checks its parameters with require and require_fractions,
+so any parameter outside its documented range raises ParameterError.
 """
 from __future__ import annotations
 
@@ -10,12 +12,22 @@ from dataclasses import dataclass, fields
 
 
 class ParameterError(ValueError):
-    """A protocol parameter is outside its valid range."""
+    """A parameter is outside its documented range."""
 
 
-def _require(cond: bool, message: str) -> None:
+MAX_KEYBLOCKS = 10**10  # longest horizon or pair trial: ~20 min of policy rollout
+
+
+def require(cond: bool, message: str) -> None:
     if not cond:
         raise ParameterError(message)
+
+
+def require_fractions(**values: float) -> None:
+    """Raise ParameterError naming the first value outside [0, 1] or NaN."""
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:
+            raise ParameterError(f"{name} out of [0,1]")
 
 
 @dataclass(frozen=True)
@@ -34,10 +46,8 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require(math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
-        _require(0.0 <= self.alpha <= 1.0, "alpha out of [0,1]")
-        _require(0.0 <= self.gamma <= 1.0, "gamma out of [0,1]")
-        _require(0.0 <= self.split_ratio <= 1.0, "split_ratio out of [0,1]")
+            require(math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
+        require_fractions(alpha=self.alpha, gamma=self.gamma, split_ratio=self.split_ratio)
 
 
 # Reward regimes by name, as (key_weight, fee_weight).
@@ -60,10 +70,10 @@ class RewardWeights:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require(math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
-        _require(self.key_weight >= 0.0, "key_weight must be nonnegative")
-        _require(self.fee_weight >= 0.0, "fee_weight must be nonnegative")
-        _require(self.key_weight + self.fee_weight > 0.0, "weights cannot both be zero")
+            require(math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
+        require(self.key_weight >= 0.0, "key_weight must be nonnegative")
+        require(self.fee_weight >= 0.0, "fee_weight must be nonnegative")
+        require(self.key_weight + self.fee_weight > 0.0, "weights cannot both be zero")
 
     @classmethod
     def from_regime(cls, name: str) -> "RewardWeights":

@@ -32,7 +32,7 @@ import numpy as np
 
 from .concentration import segment_stats
 from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, SolveResult
-from .model import ProtocolParams, RewardWeights
+from .model import MAX_KEYBLOCKS, ProtocolParams, RewardWeights, require, require_fractions
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ class Inclusion:
     rho: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho out of [0,1]")
+        require_fractions(rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class Extension:
     rho: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho out of [0,1]")
+        require_fractions(rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,6 @@ class MdpPolicy:
 Strategy = Union[Honest, Inclusion, Extension, MdpPolicy]
 
 INTERVAL_MODES = ("exponential", "deterministic")
-_MAX_KEYBLOCKS = 10**10  # about 20 minutes of policy rollout
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,12 @@ class SimConfig:
     weights: RewardWeights | None = None
 
     def __post_init__(self) -> None:
-        m = self.horizon_keyblocks
-        if not 2 <= m <= _MAX_KEYBLOCKS:
-            raise ValueError(f"horizon_keyblocks must be between 2 and {_MAX_KEYBLOCKS}, got {m}")
-        if self.interval_mode not in INTERVAL_MODES:
-            raise ValueError(f"unknown interval_mode {self.interval_mode!r}")
+        m, mode = self.horizon_keyblocks, self.interval_mode
+        require(
+            2 <= m <= MAX_KEYBLOCKS,
+            f"horizon_keyblocks must be between 2 and {MAX_KEYBLOCKS}, got {m}",
+        )
+        require(mode in INTERVAL_MODES, f"unknown interval_mode {mode!r}")
 
     def effective_weights(self) -> RewardWeights:
         if self.weights is not None:

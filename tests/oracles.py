@@ -19,8 +19,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import spsolve
 
-from ng_incentives.concentration import SequenceError
 from ng_incentives.mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, TransitionTable
+from ng_incentives.model import ParameterError
 from ng_incentives.simulator import Extension, Inclusion, SimConfig, SimReport
 
 
@@ -207,7 +207,7 @@ class PairCounts:
 def count_pairs(bits: Sequence[int]) -> PairCounts:
     """Count adjacent (1,0) and (0,1) pairs over the m-1 adjacent positions."""
     if len(bits) < 2:
-        raise SequenceError("ownership sequence needs at least 2 elements")
+        raise ParameterError("ownership sequence needs at least 2 elements")
     x = np.asarray(bits, dtype=bool)
     z = int(np.count_nonzero(x[:-1] & ~x[1:]))
     k = int(np.count_nonzero(~x[:-1] & x[1:]))

@@ -144,6 +144,9 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["simulate", "--strategy", "mdpPolicy", "--m", "1000000000000000", "--L", "4"],
         # An unknown flag is named before a missing required one.
         ["bounds", "--class", "whale", "--bogus"],
+        ["pairs", "--bogus"],
+        ["simulate", "--bogus"],
+        ["fees", "--bogus"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -158,11 +161,48 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
             assert flag in err
 
 
-def test_help_still_exits_0(capsys):
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["pairs", "--alpha", "0.3"], ["--m", "--delta"]),
+        (["bounds"], ["--alpha", "--alpha-grid"]),
+        (["simulate", "--alpha", "0.3"], ["--strategy"]),
+        (["fees", "--whale-threshold", "0.1"], ["--input"]),
+    ],
+)
+def test_missing_required_flags_are_named(capsys, argv, named):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # Exactly the missing flags, before the pointer to the help.
+    assert re.findall(r"--[\w-]+", err.split(" (see ")[0]) == named
+
+
+# Each subcommand's required flags.  argparse does not enforce them, so its
+# usage line shows them in brackets; their help text marks them instead.
+_REQUIRED_FLAGS = {
+    "bounds": ["--alpha", "--alpha-grid"],
+    "revenue": [],
+    "mdp": [],
+    "simulate": ["--strategy"],
+    "pairs": ["--alpha", "--m", "--delta"],
+    "fees": ["--input"],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_REQUIRED_FLAGS))
+def test_help_still_exits_0(capsys, subcommand):
     with pytest.raises(SystemExit) as exc:
-        main(["mdp", "--help"])
+        main([subcommand, "--help"])
     assert exc.value.code == 0
-    assert "--r-grid" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: ng-incentives {subcommand} ")
+    if subcommand == "mdp":
+        assert "--r-grid" in out
+    for flag in _REQUIRED_FLAGS[subcommand]:
+        # The flag's own help: its line up to the next option's.
+        (text,) = re.findall(rf"^  {flag}\b(?!-).*?(?=^  -|\Z)", out, re.M | re.S)
+        assert "required" in text, flag
 
 
 def test_revenue_rows(capsys):

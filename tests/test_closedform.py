@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ng_incentives import closedform as cf
+from ng_incentives.model import ParameterError
 
 FRACTIONS = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 ALPHAS = st.floats(min_value=0.001, max_value=0.999, allow_nan=False)
@@ -17,11 +18,11 @@ def test_bound_values_at_quarter():
 
 
 def test_bounds_domain_errors():
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(ParameterError):
         cf.inclusion_bound_original(1.0)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(ParameterError):
         cf.inclusion_bound_yin(-0.1)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(ParameterError):
         cf.extension_bound(1.2)
 
 
@@ -42,7 +43,7 @@ def test_feasible_interval_classes():
     assert (regular.lower, regular.upper) == (0.25, 0.75)
     both = cf.feasible_interval(0.25, "all")
     assert (both.lower, both.upper) == (whale.lower, whale.upper)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(ParameterError):
         cf.feasible_interval(0.25, "plankton")
 
 

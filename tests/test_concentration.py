@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from ng_incentives import concentration as cc
+from ng_incentives.model import MAX_KEYBLOCKS, ParameterError
 
 from oracles import count_pairs, ownership, pair_moments, per_bit_segment_stats
 
@@ -20,7 +21,7 @@ def test_count_pairs_basic():
 
 
 def test_count_pairs_short_sequence_rejected():
-    with pytest.raises(cc.SequenceError):
+    with pytest.raises(ParameterError):
         count_pairs([1])
 
 
@@ -43,11 +44,11 @@ def test_pair_deviation_bound_domain():
     assert cc.pair_deviation_bound(0.0, 100, 0.1) == 4.0
     assert cc.pair_deviation_bound(1.0, 100, 0.1) == 4.0
     for alpha in (-0.1, 1.1, math.nan):
-        with pytest.raises(cc.SequenceError, match="alpha"):
+        with pytest.raises(ParameterError, match="alpha"):
             cc.pair_deviation_bound(alpha, 100, 0.1)
-    with pytest.raises(cc.SequenceError):
+    with pytest.raises(ParameterError):
         cc.pair_deviation_bound(0.3, 1, 0.1)
-    with pytest.raises(cc.SequenceError):
+    with pytest.raises(ParameterError):
         cc.pair_deviation_bound(0.3, 100, 0.0)
 
 
@@ -90,7 +91,7 @@ def test_empirical_mean_z_is_exact_without_pairs():
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0, 5.0])
 def test_empirical_summary_rejects_delta(alpha, delta):
-    with pytest.raises(cc.SequenceError, match="delta"):
+    with pytest.raises(ParameterError, match="delta"):
         cc.empirical_pair_summary(alpha, 100, delta, trials=10, seed=0)
 
 
@@ -242,8 +243,8 @@ def test_empirical_summary_does_not_depend_on_worker_count(workers, trials, m):
 
 
 def test_empirical_summary_rejects_trials_longer_than_the_cap():
-    with pytest.raises(cc.SequenceError, match="m must be between 2 and"):
-        cc.empirical_pair_summary(0.3, cc._MAX_M + 1, 0.1, trials=1, seed=0)
+    with pytest.raises(ParameterError, match="m must be between 2 and"):
+        cc.empirical_pair_summary(0.3, MAX_KEYBLOCKS + 1, 0.1, trials=1, seed=0)
 
 
 def test_empirical_summary_memory_is_bounded():

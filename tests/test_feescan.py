@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from ng_incentives import feescan as fs
+from ng_incentives.model import ParameterError
 
 FIXTURE = Path(__file__).parent / "data" / "fees_fixture.csv"
 
@@ -49,14 +50,14 @@ def test_distribution_is_permutation_invariant():
 
 def test_distribution_validation():
     fees = [0.1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         fs.distribution(fees, [0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         fs.distribution(fees, [0.5, 0.5])
     with pytest.raises(ValueError):
         fs.distribution([], [0.1, 0.5])
     for edges in ([0.1, float("nan")], [0.1, float("inf")], [float("-inf"), 0.1]):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ParameterError, match="finite"):
             fs.distribution(fees, edges)
 
 
@@ -71,8 +72,8 @@ def test_classify_splits_on_strict_threshold():
 def test_classify_validation():
     with pytest.raises(ValueError):
         fs.classify([], 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         fs.classify([0.1], 0.0)
     for threshold in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ParameterError, match="finite"):
             fs.classify([0.1], threshold)

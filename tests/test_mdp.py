@@ -16,7 +16,7 @@ from ng_incentives.mdp import (
     enumerate_states,
     solve,
 )
-from ng_incentives.model import ProtocolParams, RewardWeights
+from ng_incentives.model import ParameterError, ProtocolParams, RewardWeights
 
 from oracles import (
     MdpState,
@@ -247,7 +247,7 @@ def test_action_availability_rules(table):
 
 def test_truncation_validation():
     for truncation in (1, 101):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="truncation"):
             build_transitions(PARAMS, truncation=truncation)
     assert len(build_transitions(PARAMS, truncation=100).states) == len(enumerate_states(100))
 

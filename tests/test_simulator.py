@@ -21,7 +21,7 @@ from ng_incentives.mdp import (
     enumerate_states,
     solve,
 )
-from ng_incentives.model import REGIMES, ProtocolParams, RewardWeights
+from ng_incentives.model import REGIMES, ParameterError, ProtocolParams, RewardWeights
 from ng_incentives.simulator import (
     Extension,
     Honest,
@@ -105,11 +105,13 @@ def test_deterministic_interval_mode():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="rho out of"):
         Inclusion(1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="rho out of"):
+        Extension(1.5)
+    with pytest.raises(ParameterError, match="horizon_keyblocks"):
         _config(Honest(), m=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="interval_mode"):
         _config(Honest(), interval_mode="uniform")
 
 
@@ -240,7 +242,7 @@ def test_horizon_is_bounded(solved):
     # that would take years: 10**15 key blocks at 0.1 us each.
     params, result = solved
     for strategy in (Honest(), MdpPolicy(result)):
-        with pytest.raises(ValueError, match="horizon_keyblocks"):
+        with pytest.raises(ParameterError, match="horizon_keyblocks"):
             SimConfig(params, strategy, 10**15, seed=0)
         SimConfig(params, strategy, 10**10, seed=0)
 
