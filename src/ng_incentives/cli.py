@@ -12,11 +12,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, closedform, concentration, feescan
-from .mdp import SolverError, build_transitions, solve
+from .mdp import SolveResult, SolverError, build_transitions, solve
 from .model import REGIMES, ParameterError, ProtocolParams, RewardWeights
 from .simulator import (
     INTERVAL_MODES,
@@ -131,18 +131,39 @@ def _points(args, name: str) -> list[float]:
     return [getattr(args, name)] if grid is None else parse_grid(grid)
 
 
-def _check_required(args, prog: str) -> None:
-    """Name the missing required flags.  argparse checks required=True
-    before it names an unknown flag, so no flag sets it; args.required
-    holds one tuple of dests per required flag or exclusive group."""
+def _check_flags(args, unknown: list[str], prog: str) -> None:
+    """Name the unknown flags, else the missing required ones, and point at
+    the subcommand's help.  argparse checks required=True before it names
+    an unknown flag, so no flag sets it; args.required holds one tuple of
+    dests per required flag or exclusive group."""
     missing = [
         " or ".join("--" + dest.replace("_", "-") for dest in dests)
         for dests in getattr(args, "required", ())
         if all(getattr(args, dest) is None for dest in dests)
     ]
-    if missing:
+    if unknown:
+        message = f"unrecognized arguments: {' '.join(unknown)}"
+    elif missing:
         message = f"the following arguments are required: {', '.join(missing)}"
-        raise UsageError(f"{message} (see {prog} {args.subcommand} --help)")
+    else:
+        return
+    raise UsageError(f"{message} (see {prog} {args.subcommand} --help)")
+
+
+# Library parameters whose flags have other names.
+_FLAG_DESTS = {"split_ratio": "r", "horizon_keyblocks": "m", "truncation": "L"}
+
+
+def _flag_message(args, message: str) -> str:
+    """A library range error that begins with a parameter's name, with that
+    name replaced by the flag that set the parameter: its grid flag if one
+    was given, else the flag itself."""
+    name, space, rest = message.partition(" ")
+    dest = _FLAG_DESTS.get(name, name)
+    for flag in (f"{dest}_grid", dest):
+        if getattr(args, flag, None) is not None:
+            return "--" + flag.replace("_", "-") + space + rest
+    return message
 
 
 # ---------------------------------------------------------------- subcommands
@@ -200,14 +221,18 @@ def cmd_mdp(args) -> tuple[dict, list[dict]]:
         raise UsageError("argument --r-grid: not allowed with argument --alpha-grid")
     regimes = args.regime if args.regime else list(REGIMES)
     points = [(a, r) for a in _points(args, "alpha") for r in _points(args, "r")]
+    # The grid coordinate is the one parameter that varies over the points.
+    axis = 0 if args.alpha_grid is not None else 1
     rows = []
-    previous = {}  # each regime's last result, the next grid point's start
-    for alpha, r in points:
-        point = ProtocolParams(alpha=alpha, gamma=args.gamma, split_ratio=r)
-        table = build_transitions(point, args.L)
+    previous = {regime: [] for regime in regimes}  # its last two (coordinate, result)
+    for point in points:
+        alpha, r = point
+        params = ProtocolParams(alpha=alpha, gamma=args.gamma, split_ratio=r)
+        table = build_transitions(params, args.L)
         for regime in regimes:
-            result = solve(table, RewardWeights.from_regime(regime), previous.get(regime))
-            previous[regime] = result
+            start = _grid_start(previous[regime], point[axis])
+            result = solve(table, RewardWeights.from_regime(regime), start)
+            previous[regime] = [*previous[regime][-1:], (point[axis], result)]
             rows.append(
                 {
                     "alpha": alpha,
@@ -220,6 +245,24 @@ def cmd_mdp(args) -> tuple[dict, list[dict]]:
             )
     meta = {"command": "mdp", "gamma": args.gamma, "truncation": args.L}
     return meta, rows
+
+
+def _grid_start(previous: list, t: float) -> SolveResult | None:
+    """The start of a grid row's solve from its regime's last two rows, as
+    (grid coordinate, result): none for the first row, the previous result
+    for the second, and from the third on that result with its bias
+    replaced by the line through the two rows' biases at this row's
+    coordinate.  Where the policy is constant the bias is affine in r, so
+    the line is exact there; the solve's span test certifies any bias, and
+    the policy and distribution it starts from are the previous row's.  Two
+    rows at one coordinate give no line, so the previous bias is kept."""
+    if not previous:
+        return None
+    *earlier, (t1, last) = previous
+    if not earlier or earlier[0][0] == t1:
+        return last
+    ((t0, before),) = earlier
+    return replace(last, bias=last.bias + (last.bias - before.bias) * ((t - t1) / (t1 - t0)))
 
 
 def cmd_simulate(args) -> tuple[dict, list[dict]]:
@@ -418,9 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
-        _check_required(args, parser.prog)
-        metadata, rows = args.func(args)
+        args, unknown = parser.parse_known_args(argv)
+        _check_flags(args, unknown, parser.prog)
+        try:
+            metadata, rows = args.func(args)
+        except ParameterError as exc:
+            raise UsageError(_flag_message(args, str(exc))) from None
         text = _render(args.format, {"version": __version__, **metadata}, rows)
         if args.out:
             args.out.write_text(text + ("\n" if not text.endswith("\n") else ""))

@@ -367,6 +367,26 @@ _EPS_EVAL = 1e-13
 _MAX_EVAL = 200_000
 
 
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the stored entries of some rows of a CSR matrix,
+    row by row in the given order, and the indptr of those rows alone."""
+    start = indptr[rows]
+    counts = indptr[rows + 1] - start
+    sub_indptr = np.zeros(len(rows) + 1, indptr.dtype)
+    np.cumsum(counts, out=sub_indptr[1:])
+    return np.arange(sub_indptr[-1]) + np.repeat(start - sub_indptr[:-1], counts), sub_indptr
+
+
+def _rows_of(table: TransitionTable, rows: np.ndarray):
+    """table.transition[rows], gathered from its CSR arrays: the same
+    entries in the same order, without scipy's index checks."""
+    matrix = table.transition
+    take, indptr = _entries(matrix.indptr, rows)
+    return type(matrix)(
+        (matrix.data[take], matrix.indices[take], indptr), shape=(len(rows), matrix.shape[1])
+    )
+
+
 def _gain(
     table: TransitionTable, reward: np.ndarray, values: np.ndarray
 ) -> tuple:
@@ -375,13 +395,15 @@ def _gain(
     Science 1978).
 
     A full sweep applies the Bellman operator over all flat rows and picks
-    the greedy actions.  When its span test fails, _POLICY_SWEEPS sweeps
-    follow on the greedy policy's own chain, which has about a quarter of
-    the table's nonzeros; the chain is extracted again only when the greedy
-    actions change.  Only a full sweep stops the loop, and its span test
+    the greedy actions: in each state the first action, in ACTION_ORDER,
+    whose value equals the sweep's maximum.  When its span test fails,
+    _POLICY_SWEEPS sweeps follow on the greedy policy's own chain, which
+    has about a quarter of the table's nonzeros, gathered from the table's
+    CSR arrays again only when the greedy actions change; they update the
+    values in place.  Only a full sweep stops the loop, and its span test
     bounds the optimal gain whatever v it starts from, so the policy sweeps
-    leave the returned gain's error bound as it was.  The damping mixes in a
-    self-loop, which removes periodicity without changing the average
+    leave the returned gain's error bound as it was.  The damping mixes in
+    a self-loop, which removes periodicity without changing the average
     reward.  Returns (gain, the largest entry of Tv - v in the last full
     sweep, bias values, flat rows and transition rows of the policy greedy
     in the last full sweep, full sweeps).
@@ -391,19 +413,28 @@ def _gain(
     actions = None
     for sweep in range(1, _MAX_INNER + 1):
         q = (reward + table.transition @ v).reshape(len(ACTION_ORDER), -1)
-        greedy = q.argmax(axis=0)
+        best = q.max(axis=0)
+        # Last action first, so the first maximal action is written last.
+        greedy = np.empty(n, np.intp)
+        for k in range(len(ACTION_ORDER) - 1, -1, -1):
+            greedy[q[k] == best] = k
         if not np.array_equal(greedy, actions):
             actions = greedy
             rows = actions * n + np.arange(n)
-            chain, chain_reward = table.transition[rows], reward[rows]
-        diff = q.max(axis=0) - v
+            chain, chain_reward = _rows_of(table, rows), reward[rows]
+        diff = best - v
         lo, hi = diff.min(), diff.max()
         v = v + _DAMPING * diff
         v -= v[0]
         if hi - lo < _EPS_INNER:
             return (hi + lo) / 2.0, hi, v, rows, chain, sweep
         for _ in range(_POLICY_SWEEPS):
-            v = (1.0 - _DAMPING) * v + _DAMPING * (chain_reward + chain @ v)
+            # v <- (1 - d) v + d (r + P v) in place, rounded as that expression is.
+            step = chain @ v
+            step += chain_reward
+            step *= _DAMPING
+            v *= 1.0 - _DAMPING
+            v += step
             v -= v[0]
     raise SolverError("value iteration did not converge", _MAX_INNER, hi - lo)
 
@@ -421,15 +452,50 @@ def _stationary(chain, x: np.ndarray) -> tuple[np.ndarray, int]:
     transient states decays into subnormal floats, which multiply several
     times slower.  Stops when the L1 change of one step falls below
     _EPS_EVAL.
+
+    The iteration runs only on the states reachable from the support of x
+    along the chain's stored entries, explicit zeros included, and returns
+    zeros on the others.  That set is closed, so the mass outside it stays
+    exactly 0 and every iterate inside it is the one the whole chain would
+    give: each sum drops only zero terms and keeps the others in order.
+    Only the L1 change adds its terms in another grouping, so the stopping
+    test could differ in the last bit of a change at the tolerance.
     """
-    transposed = chain.T.tocsr()
+    n = chain.shape[0]
+    reached = _reachable(chain, x != 0)
+    label = np.zeros(n, chain.indices.dtype)
+    label[reached] = np.arange(len(reached))
+    take, indptr = _entries(chain.indptr, reached)
+    sub = type(chain)(
+        (chain.data[take], label[chain.indices[take]], indptr), shape=(len(reached),) * 2
+    )
+    transposed = sub.T.tocsr()
+    y = x[reached]
     for iteration in range(1, _MAX_EVAL + 1):
-        step = _DAMPING * (transposed @ x - x)
-        x = x + step
-        change = np.abs(step).sum()
+        step = transposed @ y
+        step -= y
+        step *= _DAMPING
+        y += step
+        change = np.abs(step, out=step).sum()
         if change < _EPS_EVAL:
-            return x, iteration
+            pi = np.zeros(n)
+            pi[reached] = y
+            return pi, iteration
     raise SolverError("policy evaluation did not converge", _MAX_EVAL, change)
+
+
+def _reachable(chain, seed: np.ndarray) -> np.ndarray:
+    """The sorted indices of the states reachable in a CSR chain from the
+    states where the mask seed is set, along its stored entries."""
+    reached = seed.copy()
+    frontier = np.flatnonzero(seed)
+    while len(frontier):
+        new = np.zeros_like(reached)
+        new[chain.indices[_entries(chain.indptr, frontier)[0]]] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    return np.flatnonzero(reached)
 
 
 def solve(
@@ -452,7 +518,15 @@ def solve(
     with its bias: it enters the loop at the evaluation step, a cold solve
     at the value iteration.  That policy is feasible here, so its ratio is
     at most the optimum: Dinkelbach's w must stay a lower bound, since a w
-    above the optimum would stop the steps at a worse policy.
+    above the optimum would stop the steps at a worse policy.  The bias
+    only seeds the value iteration, whose span test certifies any seed, so
+    a caller may replace it with a better guess (dataclasses.replace); the
+    CLI's grid extrapolates it from the two rows before.
+
+    Each evaluation iterates only on the states the policy's chain reaches
+    from the distribution it starts from (see _stationary), and each step's
+    value iteration gathers its policy chains from the table's CSR arrays
+    (see _gain); neither changes a result's bits.
 
     Once a policy has been evaluated, a step whose last full sweep has
     every entry of Tv - v at most 0 ends the solve without evaluating its
@@ -474,7 +548,7 @@ def solve(
                 f" the table has L={table.truncation}"
             )
         v, x, rows = start.bias, start.distribution, start.policy * n + np.arange(n)
-        chain = table.transition[rows]
+        chain = _rows_of(table, rows)
     w, best, best_rows = 0.0, -np.inf, None
     outer = sweeps = evaluations = 0
     while True:

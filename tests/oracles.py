@@ -1,8 +1,9 @@
 """Reference values for checking the solver and the simulator: a
 per-state view of the transition table's arrays, policies picked state by
 state, the stationary distribution and exact long-run revenue of a fixed
-policy and the number of closed classes of its chain, the optimal gain of
-a reward by plain relative value iteration, Eyal-Sirer SM1 selfish mining
+policy and the number of closed classes of its chain, a damped power
+iteration over a whole chain, the optimal gain of a reward by plain
+relative value iteration, Eyal-Sirer SM1 selfish mining
 ("Majority is not Enough", arXiv:1311.0243) as a fixed MDP policy with its
 closed-form relative revenue, the adjacent pairs of an ownership sequence
 and the exact mean and variance of the pair count Z, a per-bit stand-in for
@@ -151,6 +152,19 @@ def closed_classes(table, policy: np.ndarray) -> int:
     count, label = connected_components(chain, directed=True, connection="strong")
     leaving = label[chain.row] != label[chain.col]
     return count - len(np.unique(label[chain.row[leaving]]))
+
+
+def damped_stationary(chain, x: np.ndarray, damping: float, tolerance: float):
+    """The damped power iteration x <- x + damping * (P^T x - x) over every
+    state of a CSR chain, until one step's L1 change falls below tolerance;
+    returns the last iterate and the number of steps."""
+    transposed = chain.T.tocsr()
+    for iteration in range(1, 1_000_001):
+        step = damping * (transposed @ x - x)
+        x = x + step
+        if np.abs(step).sum() < tolerance:
+            return x, iteration
+    raise RuntimeError("reference power iteration did not converge")
 
 
 def optimal_gain(table, reward: np.ndarray) -> float:

@@ -147,6 +147,9 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         ["pairs", "--bogus"],
         ["simulate", "--bogus"],
         ["fees", "--bogus"],
+        # Library range errors.
+        ["revenue", "--r", "1e400"],
+        ["simulate", "--strategy", "honest", "--m", "1"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -159,6 +162,27 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
     for flag in ("--seed", "--edges", "--bogus"):
         if flag in argv:
             assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pairs", "--bogus"], "unrecognized arguments: --bogus (see ng-incentives pairs --help)"),
+        (["fees", "--bogus", "x"], "unrecognized arguments: --bogus x (see ng-incentives fees --help)"),
+        (["revenue", "--r", "1e400"], "--r must be finite"),
+        (["simulate", "--strategy", "honest", "--m", "1"], "--m must be between 2 and"),
+        (["mdp", "--L", "1000000"], "--L must be between 2 and 100"),
+        (["mdp", "--r-grid", "0.5,1.5", "--L", "4", "--regime", "key"], "--r-grid out of [0,1]"),
+        (["pairs", "--alpha", "0.3", "--m", "101", "--delta", "1"], "--delta must be in (0,1)"),
+        (["fees", "--input", FIXTURE, "--whale-threshold", "0"], "--whale-threshold must be"),
+    ],
+)
+def test_errors_name_the_flag_typed(capsys, argv, message):
+    # A library range error names the flag that set the parameter, and an
+    # unknown flag points at its subcommand's help.
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + message) and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -250,11 +274,15 @@ def test_mdp_single_point(capsys):
     [
         (["--alpha", "0.2321"], "--r", "0:1:0.1", ("fee", "equal")),
         ([], "--alpha", "0.30:0.45:0.05", ("fee", "key")),
+        # Two rows at one coordinate give no line to seed the third from.
+        (["--alpha", "0.2321"], "--r", "0.5,0.5,0.6", ("fee", "equal")),
+        (["--alpha", "0.2321"], "--r", "0.6,0.4,0.5", ("fee", "key")),
     ],
 )
 def test_mdp_grid_rows_match_single_point_runs(capsys, fixed, flag, spec, regimes):
     # A grid row after the first of its regime starts from that regime's
-    # previous result; an invocation per point solves every row cold.
+    # previous result, from the third row on with the bias extrapolated
+    # from the last two; an invocation per point solves every row cold.
     flags = [*fixed, *(a for regime in regimes for a in ("--regime", regime))]
     code, out, _ = _run(capsys, "mdp", *flags, f"{flag}-grid", spec)
     assert code == 0
@@ -339,6 +367,31 @@ def test_only_an_mdp_table_imports_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, FIXTURE],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_SOLVER_PROBE = """
+import contextlib, io, sys
+from ng_incentives import cli, mdp
+from ng_incentives.model import ProtocolParams, RewardWeights
+
+table = mdp.build_transitions(ProtocolParams(alpha=0.4, gamma=0.0), 8)
+mdp.solve(table, RewardWeights.from_regime("fee"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["mdp", "--alpha", "0.3", "--r-grid", "0:0.3:0.1", "--L", "6"]) == 0
+loaded = {"scipy.sparse.csgraph", "scipy.linalg"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_mdp_solves_load_neither_scipy_csgraph_nor_linalg(tmp_path):
+    # Both would add to every mdp invocation's start-up time and memory.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVER_PROBE],
         capture_output=True, text=True, cwd=tmp_path, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )

@@ -23,6 +23,7 @@ from oracles import (
     RewardTuple,
     build_transitions,
     closed_classes,
+    damped_stationary,
     optimal_gain,
     policy_of,
     policy_value,
@@ -533,6 +534,81 @@ def test_stationary_of_periodic_chain_is_uniform_on_its_cycle(edges, start, cycl
     expected[cycle] = 1.0 / len(cycle)
     assert np.abs(pi - expected).max() < 1e-12
     assert iterations < mdp._MAX_EVAL
+
+
+def _chain(n, entries):
+    rows, cols, probabilities = zip(*entries)
+    chain = sparse.csr_matrix((probabilities, (rows, cols)), shape=(n, n))
+    assert chain.nnz == len(entries)  # zero probabilities stay stored
+    return chain
+
+
+@pytest.mark.parametrize(
+    "n, entries, support, unreached",
+    [
+        # 3 and 4 form a closed class that 0 never reaches; 5 leads into it.
+        (
+            6,
+            [(0, 1, 0.6), (0, 2, 0.4), (1, 0, 0.5), (1, 2, 0.5), (2, 0, 1.0),
+             (3, 3, 0.7), (3, 4, 0.3), (4, 3, 1.0), (5, 3, 1.0)],
+            [0],
+            [3, 4, 5],
+        ),
+        # A transient tail 0 -> 1 -> 2 into the class {3, 4}; 5 leads into the
+        # tail but is never reached.  The tail's mass decays into subnormals.
+        (
+            6,
+            [(0, 1, 1.0), (1, 0, 0.1), (1, 2, 0.9), (2, 3, 1.0), (3, 3, 0.75),
+             (3, 4, 0.25), (4, 3, 1.0), (5, 0, 1.0)],
+            [0],
+            [5],
+        ),
+        # A stored zero-probability entry 0 -> 2 counts as an edge: {2, 3} is
+        # iterated and keeps exactly zero mass.  4 is never reached.
+        (
+            5,
+            [(0, 1, 1.0), (0, 2, 0.0), (1, 0, 0.6), (1, 1, 0.4), (2, 3, 1.0),
+             (3, 2, 0.5), (3, 3, 0.5), (4, 0, 1.0)],
+            [0],
+            [4],
+        ),
+        # Mass on two states of two closed classes stays split between them.
+        (
+            6,
+            [(0, 1, 0.6), (0, 2, 0.4), (1, 0, 0.5), (1, 2, 0.5), (2, 0, 1.0),
+             (3, 3, 0.7), (3, 4, 0.3), (4, 3, 1.0), (5, 3, 1.0)],
+            [0, 4],
+            [5],
+        ),
+    ],
+)
+def test_stationary_on_the_reached_states_matches_the_whole_chain(n, entries, support, unreached):
+    # The iteration runs on the states reachable from x only; every iterate
+    # must be the whole chain's, bit for bit, with zeros elsewhere.
+    chain = _chain(n, entries)
+    x = np.zeros(n)
+    x[support] = 1.0 / len(support)
+    pi, iterations = mdp._stationary(chain, x)
+    expected, expected_iterations = damped_stationary(chain, x, mdp._DAMPING, mdp._EPS_EVAL)
+    assert np.array_equal(pi, expected) and iterations == expected_iterations
+    assert not pi[unreached].any()
+    assert x[support].sum() == 1.0  # the start is not overwritten
+
+
+@pytest.mark.parametrize("regime", ["fee", "key"])
+def test_stationary_of_a_returned_policy_matches_the_whole_chain(regime):
+    # At gamma = 0 the chain stores zero-probability match outcomes.
+    params = ProtocolParams(alpha=0.4, gamma=0.0, split_ratio=0.4)
+    table = build_transitions(params, truncation=20)
+    result = solve(table, RewardWeights.from_regime(regime))
+    n = len(table.states)
+    chain = table.transition[result.policy * n + np.arange(n)]
+    x = np.zeros(n)
+    x[0] = 1.0
+    pi, iterations = mdp._stationary(chain, x)
+    expected, expected_iterations = damped_stationary(chain, x, mdp._DAMPING, mdp._EPS_EVAL)
+    assert np.array_equal(pi, expected) and iterations == expected_iterations
+    assert 0 < np.count_nonzero(pi) < n
 
 
 def test_boundary_mass_falls_as_truncation_grows():
