@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__, closedform, concentration, feescan
 from .mdp import SolveResult, SolverError, build_transitions, solve
-from .model import REGIMES, ParameterError, ProtocolParams, RewardWeights
+from .model import REGIMES, ParameterError, ProtocolParams, RewardWeights, require
 from .simulator import (
     INTERVAL_MODES,
     Extension,
@@ -41,6 +41,23 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(f"{message} (see {self.prog} --help)")
+
+    def format_help(self) -> str:
+        """The help, its usage line showing the flags named in the
+        required default unbracketed: they and their groups are marked
+        required only while it is formatted (see _check_flags)."""
+        required = {dest for dests in self.get_default("required") or () for dest in dests}
+        marked = [a for a in self._actions if a.dest in required] + [
+            g for g in self._mutually_exclusive_groups
+            if any(a.dest in required for a in g._group_actions)
+        ]
+        for item in marked:
+            item.required = True
+        try:
+            return super().format_help()
+        finally:
+            for item in marked:
+                item.required = False
 
 
 def _render(fmt: str, metadata: dict, rows: list[dict]) -> str:
@@ -98,15 +115,12 @@ def parse_grid(spec: str) -> list[float]:
     return grid
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds only with non-negative integers."""
+def _grid(text: str) -> list[float]:
+    """A grid flag's value: the points of parse_grid."""
     try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
-    return seed
+        return parse_grid(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _edges(text: str) -> list[float]:
@@ -126,16 +140,17 @@ def _edges(text: str) -> list[float]:
 
 
 def _points(args, name: str) -> list[float]:
-    """The values of --NAME-grid if it was given, else [--NAME]."""
+    """The points of --NAME-grid if it was given, else [--NAME]."""
     grid = getattr(args, f"{name}_grid")
-    return [getattr(args, name)] if grid is None else parse_grid(grid)
+    return [getattr(args, name)] if grid is None else grid
 
 
 def _check_flags(args, unknown: list[str], prog: str) -> None:
     """Name the unknown flags, else the missing required ones, and point at
     the subcommand's help.  argparse checks required=True before it names
     an unknown flag, so no flag sets it; args.required holds one tuple of
-    dests per required flag or exclusive group."""
+    dests per required flag or exclusive group, and _Parser.format_help
+    reads it too."""
     missing = [
         " or ".join("--" + dest.replace("_", "-") for dest in dests)
         for dests in getattr(args, "required", ())
@@ -170,12 +185,9 @@ def _flag_message(args, message: str) -> str:
 
 
 def cmd_bounds(args) -> tuple[dict, list[dict]]:
-    grid = _points(args, "alpha")
-    for a in grid:
-        if not 0.0 <= a < 0.5:
-            raise UsageError(f"alpha grid values must lie in [0, 0.5), got {a}")
     rows = []
-    for a in grid:
+    for a in _points(args, "alpha"):
+        require(0.0 <= a < 0.5, f"alpha must lie in [0, 0.5), got {a}")
         interval = closedform.feasible_interval(a, args.transaction_class)
         rows.append(
             {
@@ -371,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="split-ratio bounds over an alpha grid")
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--alpha", type=float, help="this or --alpha-grid is required")
-    grid.add_argument("--alpha-grid", metavar="A:B:STEP", help="this or --alpha is required")
+    grid.add_argument(
+        "--alpha-grid", type=_grid, metavar="A:B:STEP", help="this or --alpha is required"
+    )
     p.add_argument(
         "--class",
         dest="transaction_class",
@@ -386,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=ProtocolParams.split_ratio)
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--rho", type=float, default=0.0)
-    grid.add_argument("--rho-grid", default=None, metavar="A:B:STEP")
+    grid.add_argument("--rho-grid", type=_grid, metavar="A:B:STEP")
     p.add_argument(
         "--attack", choices=("inclusion", "extension", "both"), default="both"
     )
@@ -397,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, default in (("alpha", ProtocolParams.alpha), ("r", ProtocolParams.split_ratio)):
         grid = p.add_mutually_exclusive_group()
         grid.add_argument(f"--{name}", type=float, default=default)
-        grid.add_argument(f"--{name}-grid", default=None, metavar="A:B:STEP")
+        grid.add_argument(f"--{name}-grid", type=_grid, metavar="A:B:STEP")
     p.add_argument("--gamma", type=float, default=ProtocolParams.gamma)
     p.add_argument(
         "--regime",
@@ -421,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=ProtocolParams.gamma)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--m", type=int, default=1_000_000, help="key-block horizon")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--interval-mode",
         choices=INTERVAL_MODES,
@@ -439,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="required")
     p.add_argument("--delta", type=float, help="required")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_pairs, required=[("alpha",), ("m",), ("delta",)])
 

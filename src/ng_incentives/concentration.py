@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_KEYBLOCKS, require, require_fractions
+from .model import MAX_KEYBLOCKS, require, require_fractions, require_seed
 
 
 def pair_deviation_bound(alpha: float, m: int, delta: float) -> float:
@@ -130,6 +130,7 @@ def empirical_pair_summary(
     require_fractions(alpha=alpha)
     require(2 <= m <= MAX_KEYBLOCKS, f"m must be between 2 and {MAX_KEYBLOCKS}, got {m}")
     require(0.0 < delta < 1.0, "delta must be in (0,1)")
+    require_seed(seed)
     center = alpha * (1.0 - alpha) * (m - 1)
     threshold = delta * center
     parts = -(-(m - 1) // _SEGMENT)

@@ -2,12 +2,14 @@
 
 All types here are immutable values; construction checks every
 invariant so downstream code never sees an out-of-range parameter.
-Every module checks its parameters with require and require_fractions,
-so any parameter outside its documented range raises ParameterError.
+Every module checks its parameters with require, require_fractions and
+require_seed, so any parameter outside its documented range raises
+ParameterError.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 
@@ -28,6 +30,15 @@ def require_fractions(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 <= value <= 1.0:
             raise ParameterError(f"{name} out of [0,1]")
+
+
+def require_seed(seed: int) -> None:
+    """Raise ParameterError unless seed is an integer >= 0, as numpy's
+    generators take."""
+    require(
+        isinstance(seed, numbers.Integral) and seed >= 0,
+        f"seed must be a non-negative integer, got {seed!r}",
+    )
 
 
 @dataclass(frozen=True)

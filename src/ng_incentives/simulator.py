@@ -32,7 +32,9 @@ import numpy as np
 
 from .concentration import segment_stats
 from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, SolveResult
-from .model import MAX_KEYBLOCKS, ProtocolParams, RewardWeights, require, require_fractions
+from .model import (
+    MAX_KEYBLOCKS, ProtocolParams, RewardWeights, require, require_fractions, require_seed
+)
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,7 @@ class SimConfig:
             f"horizon_keyblocks must be between 2 and {MAX_KEYBLOCKS}, got {m}",
         )
         require(mode in INTERVAL_MODES, f"unknown interval_mode {mode!r}")
+        require_seed(self.seed)
 
     def effective_weights(self) -> RewardWeights:
         if self.weights is not None:

@@ -6,12 +6,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from ng_incentives import concentration
 from ng_incentives.cli import main, parse_grid
+from ng_incentives.model import ProtocolParams
+from ng_incentives.simulator import Extension, Inclusion, SimConfig, run
 
 from oracles import pair_moments
 
@@ -39,6 +42,12 @@ def test_parse_grid_forms():
     assert parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     assert parse_grid("0.25") == [0.25]
     assert parse_grid("0.1,0.4") == [0.1, 0.4]
+    # The last step may overshoot b; that point is dropped.
+    assert parse_grid("0:1:0.6") == [0.0, 0.6]
+    with pytest.raises(ValueError, match="a:b:step"):
+        parse_grid("1:2")
+    with pytest.raises(ValueError, match="non-numeric"):
+        parse_grid("0.1,x")
     with pytest.raises(ValueError):
         parse_grid("0.3:0.1:0.1")
     with pytest.raises(ValueError):
@@ -175,6 +184,13 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
         (["mdp", "--r-grid", "0.5,1.5", "--L", "4", "--regime", "key"], "--r-grid out of [0,1]"),
         (["pairs", "--alpha", "0.3", "--m", "101", "--delta", "1"], "--delta must be in (0,1)"),
         (["fees", "--input", FIXTURE, "--whale-threshold", "0"], "--whale-threshold must be"),
+        (["bounds", "--alpha", "0.6"], "--alpha must lie in [0, 0.5)"),
+        (["mdp", "--r-grid", "1:2"], "argument --r-grid: grid must be a:b:step"),
+        (["mdp", "--alpha-grid", "x"], "argument --alpha-grid: non-numeric grid"),
+        (["revenue", "--rho-grid", "0:1:0"], "argument --rho-grid: grid needs b >= a"),
+        (["simulate", "--strategy", "honest", "--seed", "-1"], "--seed must be a non-negative"),
+        (["pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--seed", "1.5"],
+         "argument --seed: invalid int value"),
     ],
 )
 def test_errors_name_the_flag_typed(capsys, argv, message):
@@ -202,19 +218,20 @@ def test_missing_required_flags_are_named(capsys, argv, named):
     assert re.findall(r"--[\w-]+", err.split(" (see ")[0]) == named
 
 
-# Each subcommand's required flags.  argparse does not enforce them, so its
-# usage line shows them in brackets; their help text marks them instead.
-_REQUIRED_FLAGS = {
-    "bounds": ["--alpha", "--alpha-grid"],
-    "revenue": [],
-    "mdp": [],
-    "simulate": ["--strategy"],
-    "pairs": ["--alpha", "--m", "--delta"],
-    "fees": ["--input"],
+# Each subcommand's required flags as its usage line shows them: without
+# brackets, though argparse does not enforce them.  Their help text marks
+# them too.
+_REQUIRED_USAGE = {
+    "bounds": "(--alpha ALPHA | --alpha-grid A:B:STEP)",
+    "revenue": "",
+    "mdp": "",
+    "simulate": "--strategy {honest,inclusion,extension,mdpPolicy}",
+    "pairs": "--alpha ALPHA --m M --delta DELTA",
+    "fees": "--input INPUT",
 }
 
 
-@pytest.mark.parametrize("subcommand", list(_REQUIRED_FLAGS))
+@pytest.mark.parametrize("subcommand", list(_REQUIRED_USAGE))
 def test_help_still_exits_0(capsys, subcommand):
     with pytest.raises(SystemExit) as exc:
         main([subcommand, "--help"])
@@ -223,7 +240,12 @@ def test_help_still_exits_0(capsys, subcommand):
     assert out.startswith(f"usage: ng-incentives {subcommand} ")
     if subcommand == "mdp":
         assert "--r-grid" in out
-    for flag in _REQUIRED_FLAGS[subcommand]:
+    # The usage line, however it wraps, is the required flags once the
+    # bracketed optional ones are taken out.
+    usage = " ".join(out.split("\n\n")[0].split())
+    required = _REQUIRED_USAGE[subcommand]
+    assert re.sub(r" \[[^]]*\]", "", usage) == f"usage: ng-incentives {subcommand} {required}".strip()
+    for flag in re.findall(r"--[\w-]+", required):
         # The flag's own help: its line up to the next option's.
         (text,) = re.findall(rf"^  {flag}\b(?!-).*?(?=^  -|\Z)", out, re.M | re.S)
         assert "required" in text, flag
@@ -243,20 +265,32 @@ def test_revenue_rows(capsys):
 
 
 def test_json_and_csv_payloads_value_identical(capsys):
-    args = ["revenue", "--alpha", "0.3", "--r", "0.8", "--rho-grid", "0:1:0.5"]
-    code, out_json, _ = _run(capsys, *args, "--format", "json")
-    code2, out_csv, _ = _run(capsys, *args, "--format", "csv")
-    assert code == code2 == 0
-    jrows = _json_payload(out_json)
-    crows = _csv_rows(out_csv)
-    assert len(jrows) == len(crows)
-    for j, c in zip(jrows, crows):
-        assert set(j) == set(c)
-        for key, val in j.items():
-            if isinstance(val, float):
-                assert float(c[key]) == pytest.approx(val, abs=0, rel=0)
-            else:
-                assert str(val) == c[key]
+    # JSON true/false/null are CSV true/false/empty.
+    kinds = set()
+    for args in (
+        ["revenue", "--alpha", "0.3", "--r", "0.8", "--rho-grid", "0:1:0.5"],
+        ["bounds", "--alpha-grid", "0.1,0.4", "--class", "whale"],
+        ["fees", "--input", FIXTURE],
+    ):
+        code, out_json, _ = _run(capsys, *args, "--format", "json")
+        code2, out_csv, _ = _run(capsys, *args, "--format", "csv")
+        assert code == code2 == 0
+        jrows = _json_payload(out_json)
+        crows = _csv_rows(out_csv)
+        assert len(jrows) == len(crows)
+        for j, c in zip(jrows, crows):
+            assert set(j) == set(c)
+            for key, val in j.items():
+                kinds.add(type(val))
+                if isinstance(val, bool):
+                    assert c[key] == str(val).lower()
+                elif isinstance(val, float):
+                    assert float(c[key]) == pytest.approx(val, abs=0, rel=0)
+                elif val is None:
+                    assert c[key] == ""
+                else:
+                    assert str(val) == c[key]
+    assert {bool, float, type(None), str} <= kinds
 
 
 def test_mdp_single_point(capsys):
@@ -318,6 +352,13 @@ def test_simulate_deterministic_output(capsys):
     assert out1 == out2  # byte-identical for the same seed
     (row,) = _json_payload(out1)
     assert row["relative_revenue"] == pytest.approx(0.3266, abs=0.01)
+    # Each attack's flag runs that attack: its row is the library's report.
+    params = ProtocolParams(alpha=0.3, split_ratio=0.2)
+    for strategy in (Inclusion(0.5), Extension(0.5)):
+        name = type(strategy).__name__.lower()
+        code, out, _ = _run(capsys, "simulate", "--strategy", name, "--rho", "0.5", *args[5:])
+        assert code == 0
+        assert _json_payload(out) == [asdict(run(SimConfig(params, strategy, 100_000, seed=7)))]
 
 
 def test_python_dash_m_runs_the_cli_from_source(tmp_path, capsys):
@@ -411,7 +452,7 @@ def test_pairs_row(capsys):
     assert row["mean_z"] == pytest.approx(row["expected_pairs"], rel=0.05)
 
 
-def test_pairs_worker_failure_is_one_error_line(monkeypatch, capsys):
+def test_pairs_sampler_failure_is_one_error_line(monkeypatch, capsys):
     # A failure inside the pair kernel's sampler is one error line.
     def fails(*args):
         raise MemoryError("injected")

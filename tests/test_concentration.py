@@ -242,6 +242,13 @@ def test_empirical_summary_does_not_depend_on_worker_count(workers, trials, m):
     assert results == [alone] * workers
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_empirical_summary_rejects_seed(seed):
+    # Checked before anything is drawn, not by numpy.
+    with pytest.raises(ParameterError, match="seed must be"):
+        cc.empirical_pair_summary(0.3, 100, 0.1, trials=10, seed=seed)
+
+
 def test_empirical_summary_rejects_trials_longer_than_the_cap():
     with pytest.raises(ParameterError, match="m must be between 2 and"):
         cc.empirical_pair_summary(0.3, MAX_KEYBLOCKS + 1, 0.1, trials=1, seed=0)

@@ -113,6 +113,9 @@ def test_config_validation():
         _config(Honest(), m=1)
     with pytest.raises(ParameterError, match="interval_mode"):
         _config(Honest(), interval_mode="uniform")
+    for seed in (-1, 1.5):
+        with pytest.raises(ParameterError, match="seed must be"):
+            _config(Honest(), seed=seed)
 
 
 def test_pair_counts_reported():
