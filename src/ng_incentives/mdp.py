@@ -60,7 +60,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import ProtocolParams, RewardWeights, require
+from .model import ProtocolParams, RewardWeights, SolverError, require
 
 
 class Fork(IntEnum):
@@ -342,16 +342,6 @@ class SolveResult:
     boundary_mass: float
     bias: np.ndarray = field(compare=False, repr=False)
     distribution: np.ndarray = field(compare=False, repr=False)
-
-
-class SolverError(RuntimeError):
-    """Value iteration or policy evaluation failed to converge; carries the
-    iteration count and the last value span or distribution change."""
-
-    def __init__(self, message: str, iterations: int, span: float):
-        super().__init__(f"{message} (iterations={iterations}, span={span:.3e})")
-        self.iterations = iterations
-        self.span = span
 
 
 # Solver constants: the value iteration span tolerance, its cap on full

@@ -17,6 +17,16 @@ class ParameterError(ValueError):
     """A parameter is outside its documented range."""
 
 
+class SolverError(RuntimeError):
+    """Value iteration or policy evaluation failed to converge; carries the
+    iteration count and the last value span or distribution change."""
+
+    def __init__(self, message: str, iterations: int, span: float):
+        super().__init__(f"{message} (iterations={iterations}, span={span:.3e})")
+        self.iterations = iterations
+        self.span = span
+
+
 MAX_KEYBLOCKS = 10**10  # longest horizon or pair trial: ~20 min of policy rollout
 
 
@@ -64,6 +74,9 @@ class ProtocolParams:
 # Reward regimes by name, as (key_weight, fee_weight).
 _REGIME_WEIGHTS = {"fee": (0.0, 1.0), "equal": (1.0, 1.0), "key": (1.0, 0.0)}
 REGIMES = tuple(_REGIME_WEIGHTS)
+
+# How the simulator draws key-block interval lengths.
+INTERVAL_MODES = ("exponential", "deterministic")
 
 
 @dataclass(frozen=True)

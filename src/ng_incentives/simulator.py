@@ -33,7 +33,8 @@ import numpy as np
 from .concentration import segment_stats
 from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, SolveResult
 from .model import (
-    MAX_KEYBLOCKS, ProtocolParams, RewardWeights, require, require_fractions, require_seed
+    INTERVAL_MODES, MAX_KEYBLOCKS, ProtocolParams, RewardWeights, require, require_fractions,
+    require_seed,
 )
 
 
@@ -70,8 +71,6 @@ class MdpPolicy:
 
 
 Strategy = Union[Honest, Inclusion, Extension, MdpPolicy]
-
-INTERVAL_MODES = ("exponential", "deterministic")
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,8 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
         (["simulate", "--strategy", "honest", "--seed", "-1"], "--seed must be a non-negative"),
         (["pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--seed", "1.5"],
          "argument --seed: invalid int value"),
+        (["simulate", "--strategy", "mdpPolicy", "--seed", "-1"], "--seed must be a non-negative"),
+        (["simulate", "--strategy", "mdpPolicy", "--m", "1"], "--m must be between 2 and"),
     ],
 )
 def test_errors_name_the_flag_typed(capsys, argv, message):
@@ -408,6 +410,46 @@ def test_only_an_mdp_table_imports_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, FIXTURE],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from ng_incentives import cli
+
+def run(code, *argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            result = cli.main(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    assert result == code, (argv, result)
+
+cli.build_parser()
+run(0, "bounds", "--alpha", "0.25")
+run(0, "revenue", "--alpha", "0.3", "--rho-grid", "0:1:0.5")
+run(0, "--help")
+run(1, "pairs", "--alpha", "0.3")
+assert "numpy" not in sys.modules, "numpy loaded without a numeric subcommand"
+run(1, "simulate", "--strategy", "mdpPolicy", "--seed", "-1", "--L", "40")
+assert "scipy" not in sys.modules, "a table was built for a refused simulation"
+
+from ng_incentives import mdp, simulator
+for name, module in (("build_transitions", mdp), ("solve", mdp), ("run", simulator)):
+    assert getattr(cli, name) is getattr(module, name), name
+assert not hasattr(cli, "Honest")
+"""
+
+
+def test_closed_form_commands_start_without_numpy(tmp_path):
+    # bounds, revenue, --help and usage errors use no numpy, so importing it
+    # up front would cost each of them about 0.1 s for nothing.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
         capture_output=True, text=True, cwd=tmp_path, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )

@@ -12,11 +12,10 @@ from ng_incentives.mdp import (
     Fork,
     LastMicro,
     MdpAction,
-    SolverError,
     enumerate_states,
     solve,
 )
-from ng_incentives.model import ParameterError, ProtocolParams, RewardWeights
+from ng_incentives.model import ParameterError, ProtocolParams, RewardWeights, SolverError
 
 from oracles import (
     MdpState,
