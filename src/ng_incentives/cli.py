@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 from . import __version__, closedform
 from .model import (
-    INTERVAL_MODES,
     REGIMES,
     ParameterError,
     ProtocolParams,
@@ -237,11 +236,11 @@ def cmd_revenue(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_mdp(args) -> tuple[dict, list[dict]]:
-    from .mdp import build_transitions, solve
-
-    # The one rule the parser's groups cannot express.
+    # The one rule the parser's groups cannot express, checked before numpy loads.
     if args.alpha_grid is not None and args.r_grid is not None:
         raise UsageError("argument --r-grid: not allowed with argument --alpha-grid")
+    from .mdp import build_transitions, solve
+
     regimes = args.regime if args.regime else list(REGIMES)
     points = [(a, r) for a in _points(args, "alpha") for r in _points(args, "r")]
     # The grid coordinate is the one parameter that varies over the points.
@@ -289,7 +288,6 @@ def _grid_start(previous: list, t: float) -> SolveResult | None:
 
 
 def cmd_simulate(args) -> tuple[dict, list[dict]]:
-    from .mdp import build_transitions, solve
     from .simulator import Extension, Honest, Inclusion, MdpPolicy, SimConfig, run
 
     params = ProtocolParams(alpha=args.alpha, gamma=args.gamma, split_ratio=args.r)
@@ -306,10 +304,11 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         strategy=strategy,
         horizon_keyblocks=args.m,
         seed=args.seed,
-        interval_mode=args.interval_mode,
         weights=weights,
     )
     if args.strategy == "mdpPolicy":
+        from .mdp import build_transitions, solve
+
         result = solve(build_transitions(params, args.L), weights)
         config = replace(config, strategy=MdpPolicy(result))
     report = run(config)
@@ -454,13 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--m", type=int, default=1_000_000, help="key-block horizon")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--interval-mode",
-        choices=INTERVAL_MODES,
-        default="exponential",
-        help="interval lengths for honest/inclusion/extension; the mdpPolicy "
-        "rollout counts one fee unit per interval and ignores this",
-    )
     p.add_argument("--regime", choices=REGIMES, default="fee", help="default: %(default)s")
     p.add_argument("--L", type=int, default=20)
     common(p)

@@ -75,9 +75,6 @@ class ProtocolParams:
 _REGIME_WEIGHTS = {"fee": (0.0, 1.0), "equal": (1.0, 1.0), "key": (1.0, 0.0)}
 REGIMES = tuple(_REGIME_WEIGHTS)
 
-# How the simulator draws key-block interval lengths.
-INTERVAL_MODES = ("exponential", "deterministic")
-
 
 @dataclass(frozen=True)
 class RewardWeights:

@@ -10,12 +10,12 @@ to its category (who mined the key blocks at its two ends) and its fee
 mass, so a run keeps counts and fee sums per batch and category, whatever
 its length.  Each batch's counts follow from four sufficient statistics of
 its key blocks' ownership bits, drawn from their exact law
-(concentration.segment_stats), and in exponential mode a cell's fee sum,
-the sum of its n intervals' Exp(1) lengths, is one Gamma(n, 1) variate, its
-exact law; so a run draws a few variates per batch and none per key block.
-The rollout of a solved selfish-mining policy instead draws one 64-bit
-uniform per key block and counts one fee unit per key-block interval, as
-the decision process does, so it ignores the interval mode.
+(concentration.segment_stats), and a cell's fee sum, the sum of its n
+intervals' Exp(1) lengths, is one Gamma(n, 1) variate, its exact law; so a
+run draws a few variates per batch and none per key block.  The rollout of
+a solved selfish-mining policy instead draws one 64-bit uniform per key
+block and counts one fee unit per key-block interval, as the decision
+process does.
 
 Both simulators report as std_error the batch-means standard error of the
 revenue ratio over _BATCHES batches of consecutive intervals or key blocks;
@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .concentration import segment_stats
-from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, SolveResult
 from .model import (
-    INTERVAL_MODES, MAX_KEYBLOCKS, ProtocolParams, RewardWeights, require, require_fractions,
-    require_seed,
+    MAX_KEYBLOCKS, ProtocolParams, RewardWeights, require, require_fractions, require_seed,
 )
+
+if TYPE_CHECKING:
+    from .mdp import SolveResult
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class SimConfig:
     strategy: Strategy
     horizon_keyblocks: int
     seed: int
-    interval_mode: str = "exponential"
     # Weights used to scalarize the revenue ratio.  None selects fee-only
     # accounting for honest/inclusion/extension (matching the closed-form
     # limits, which track transaction fees) and the policy's own weights for
@@ -87,12 +87,11 @@ class SimConfig:
     weights: RewardWeights | None = None
 
     def __post_init__(self) -> None:
-        m, mode = self.horizon_keyblocks, self.interval_mode
+        m = self.horizon_keyblocks
         require(
             2 <= m <= MAX_KEYBLOCKS,
             f"horizon_keyblocks must be between 2 and {MAX_KEYBLOCKS}, got {m}",
         )
-        require(mode in INTERVAL_MODES, f"unknown interval_mode {mode!r}")
         require_seed(self.seed)
 
     def effective_weights(self) -> RewardWeights:
@@ -154,13 +153,12 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     (selfish, total) revenue sums, whose batch means give the standard
     error.
 
-    An interval's fee mass is its length in units of the mean interval,
-    Exp(1) in exponential mode and 1 in deterministic mode.  The report
-    reads fee masses only through the sums sum(f) of its cells, and the sum
-    of n independent Exp(1) lengths is exactly Gamma(n, 1) (Devroye,
-    Non-Uniform Random Variate Generation, 1986, ch. IX), so each cell's sum
-    is one Gamma(n_c, 1) draw, Marsaglia-Tsang in numpy; an empty cell's is
-    exactly 0.  Deterministic intervals give sum(f) = n_c.
+    An interval's fee mass is its Exp(1) length in units of the mean
+    interval.  The report reads fee masses only through the sums sum(f) of
+    its cells, and the sum of n independent Exp(1) lengths is exactly
+    Gamma(n, 1) (Devroye, Non-Uniform Random Variate Generation, 1986,
+    ch. IX), so each cell's sum is one Gamma(n_c, 1) draw, Marsaglia-Tsang
+    in numpy; an empty cell's is exactly 0.
 
     Batch b holds intervals f_b to f_b + len_b - 1, so it reads blocks f_b
     to f_b + len_b: its carry c_b, block f_b, is the previous batch's last
@@ -194,10 +192,7 @@ def _run_interval_strategy(config: SimConfig) -> SimReport:
     both = (carry & first) + ones - runs
     # One row per batch, one column per category (_HH, _HS, _SH, _SS).
     cell_count = np.stack([length - led - ended + both, ended - both, led - both, both], axis=1)
-    if config.interval_mode == "exponential":
-        cell_fees = rng.standard_gamma(cell_count.astype(float))
-    else:
-        cell_fees = cell_count.astype(float)
+    cell_fees = rng.standard_gamma(cell_count.astype(float))
     count, fee_sum = cell_count.sum(axis=0), cell_fees.sum(axis=0)
 
     r = p.split_ratio
@@ -250,6 +245,8 @@ _CHUNK = 128  # draw codes per row of the rollout's parallel scan
 
 
 def _show(state) -> str:
+    from .mdp import Fork, LastMicro
+
     l_a, l_h, fork, last = state
     return f"({l_a}, {l_h}, {Fork(fork).name}, {LastMicro(last).name})"
 
@@ -291,6 +288,8 @@ def _compile(result: SolveResult) -> tuple:
     Raises ValueError, naming the state, at the first row of result.states
     whose chain cannot be followed.
     """
+    from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction
+
     states, kind = result.states, result.policy
     L, r = result.truncation, result.params.split_ratio
     own = np.arange(len(states))

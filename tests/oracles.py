@@ -275,23 +275,21 @@ def interval_reference(config: SimConfig) -> SimReport:
     the seeded stream of a simulator whose segment_stats is
     per_bit_segment_stats: block 0 honest and blocks 1 to m - 1 one
     ownership() draw; then one Gamma(n, 1) fee sum per (batch, category)
-    cell in cell order, n being the cell's interval count.  Every report
-    field is linear in a cell's fee sum, so the whole sum sits on the
-    cell's first interval and its other intervals carry none."""
+    cell in cell order, the law of the sum of the cell's n Exp(1) interval
+    lengths.  Every report field is linear in a cell's fee sum, so the
+    whole sum sits on the cell's first interval and its other intervals
+    carry none."""
     m = config.horizon_keyblocks
     rng = np.random.default_rng(config.seed)
     selfish = np.concatenate(([False], ownership(rng, config.params.alpha, m - 1)))
-    if config.interval_mode == "exponential":
-        # Batches of max(1, m // 512) consecutive intervals, four cells each.
-        batch = np.arange(m - 1) // max(1, m // 512)
-        cell = 4 * batch + 2 * selfish[:-1] + selfish[1:]
-        count = np.bincount(cell, minlength=4 * (batch[-1] + 1))
-        fee_sum = rng.standard_gamma(count.astype(float))
-        cells, first = np.unique(cell, return_index=True)
-        fee_mass = np.zeros(m - 1)
-        fee_mass[first] = fee_sum[cells]
-    else:
-        fee_mass = np.ones(m - 1)
+    # Batches of max(1, m // 512) consecutive intervals, four cells each.
+    batch = np.arange(m - 1) // max(1, m // 512)
+    cell = 4 * batch + 2 * selfish[:-1] + selfish[1:]
+    count = np.bincount(cell, minlength=4 * (batch[-1] + 1))
+    fee_sum = rng.standard_gamma(count.astype(float))
+    cells, first = np.unique(cell, return_index=True)
+    fee_mass = np.zeros(m - 1)
+    fee_mass[first] = fee_sum[cells]
     return _interval_report(config, selfish, fee_mass)
 
 
@@ -305,11 +303,7 @@ def interval_exponential_reference(config: SimConfig) -> SimReport:
     rng = np.random.default_rng(config.seed)
     selfish = rng.random(m) < config.params.alpha
     selfish[0] = False
-    if config.interval_mode == "exponential":
-        fee_mass = rng.exponential(1.0, m - 1)
-    else:
-        fee_mass = np.ones(m - 1)
-    return _interval_report(config, selfish, fee_mass)
+    return _interval_report(config, selfish, rng.exponential(1.0, m - 1))
 
 
 def _interval_report(

@@ -159,6 +159,8 @@ def test_bounds_rejects_non_finite_or_huge_grid(capsys, grid, reason):
         # Library range errors.
         ["revenue", "--r", "1e400"],
         ["simulate", "--strategy", "honest", "--m", "1"],
+        # The interval simulator has one model and no flag choosing one.
+        ["simulate", "--strategy", "honest", "--interval-mode", "exponential"],
     ],
 )
 def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
@@ -168,7 +170,7 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    for flag in ("--seed", "--edges", "--bogus"):
+    for flag in ("--seed", "--edges", "--bogus", "--interval-mode"):
         if flag in argv:
             assert flag in err
 
@@ -401,6 +403,7 @@ run("simulate", "--strategy", "honest", "--m", "1000", "--seed", "1")
 run("pairs", "--alpha", "0.3", "--m", "101", "--delta", "0.2", "--trials", "10")
 run("fees", "--input", sys.argv[1])
 assert "scipy" not in sys.modules, "scipy loaded without an MDP table"
+assert "ng_incentives.mdp" not in sys.modules, "the MDP module loaded without an MDP table"
 run("mdp", "--alpha", "0.3", "--L", "4", "--regime", "key")
 assert "scipy" in sys.modules, "mdp ran without scipy"
 """
@@ -433,6 +436,7 @@ run(0, "bounds", "--alpha", "0.25")
 run(0, "revenue", "--alpha", "0.3", "--rho-grid", "0:1:0.5")
 run(0, "--help")
 run(1, "pairs", "--alpha", "0.3")
+run(1, "mdp", "--alpha-grid", "0.2", "--r-grid", "0.4")
 assert "numpy" not in sys.modules, "numpy loaded without a numeric subcommand"
 run(1, "simulate", "--strategy", "mdpPolicy", "--seed", "-1", "--L", "40")
 assert "scipy" not in sys.modules, "a table was built for a refused simulation"

@@ -98,12 +98,6 @@ def test_fee_conservation():
     assert rep.orphaned_fee_units > 0
 
 
-def test_deterministic_interval_mode():
-    rep = run(_config(Honest(), m=50_000, interval_mode="deterministic"))
-    total = rep.selfish_fees + rep.honest_fees
-    assert total == pytest.approx(rep.keyblocks - 1, abs=1e-6)
-
-
 def test_config_validation():
     with pytest.raises(ParameterError, match="rho out of"):
         Inclusion(1.5)
@@ -111,8 +105,6 @@ def test_config_validation():
         Extension(1.5)
     with pytest.raises(ParameterError, match="horizon_keyblocks"):
         _config(Honest(), m=1)
-    with pytest.raises(ParameterError, match="interval_mode"):
-        _config(Honest(), interval_mode="uniform")
     for seed in (-1, 1.5):
         with pytest.raises(ParameterError, match="seed must be"):
             _config(Honest(), seed=seed)
@@ -137,9 +129,12 @@ def test_revenue_is_scalarized_ratio():
 _S = _SLICE
 
 
-@pytest.mark.parametrize("interval_mode", ["exponential", "deterministic"])
-@pytest.mark.parametrize("m", [2, 3, 1023, 1024, 1025, _S - 1, _S, _S + 1, _S + 2, 200_000])
-def test_interval_report_matches_per_interval_reference(m, interval_mode, monkeypatch):
+# Each id names the interval model, Exp(1) lengths, next to m.
+@pytest.mark.parametrize(
+    "m", [2, 3, 1023, 1024, 1025, _S - 1, _S, _S + 1, _S + 2, 200_000],
+    ids=lambda m: f"{m}-exponential",
+)
+def test_interval_report_matches_per_interval_reference(m, monkeypatch):
     # The per-batch, per-category sums from each batch's segment statistics
     # against full-length arrays of the same bits: the simulator's
     # segment_stats is the per-bit stand-in, which counts each batch's
@@ -154,7 +149,7 @@ def test_interval_report_matches_per_interval_reference(m, interval_mode, monkey
     grid = itertools.product(strategies, weights, [0.0, 0.3, 1.0], [0.0, 0.4, 1.0])
     for strategy, w, alpha, r in grid:
         params = ProtocolParams(alpha=alpha, split_ratio=r)
-        config = SimConfig(params, strategy, m, 5, interval_mode, w)
+        config = SimConfig(params, strategy, m, 5, w)
         got = dataclasses.asdict(run(config))
         want = dataclasses.asdict(interval_reference(config))
         assert got.keys() == want.keys()
