@@ -123,10 +123,12 @@ def empirical_pair_summary(
     in chunks of max(1, _CHUNK // segments per trial) from one PCG64 stream
     seeded with ``seed``: each chunk makes one segment_stats call over its
     trials' segments in trial order.  Memory is a few arrays of one chunk,
-    whatever m and the number of trials.  Every parameter, m at most
-    MAX_KEYBLOCKS included, is checked before anything is drawn.
+    whatever m and the number of trials.  Every parameter, m and trials at
+    most MAX_KEYBLOCKS included, is checked before anything is drawn.
     """
-    require(trials >= 1, "trials must be at least 1")
+    require(
+        1 <= trials <= MAX_KEYBLOCKS, f"trials must be between 1 and {MAX_KEYBLOCKS}, got {trials}"
+    )
     require_fractions(alpha=alpha)
     require(2 <= m <= MAX_KEYBLOCKS, f"m must be between 2 and {MAX_KEYBLOCKS}, got {m}")
     require(0.0 < delta < 1.0, "delta must be in (0,1)")

@@ -136,6 +136,8 @@ def enumerate_states(truncation: int) -> np.ndarray:
     sorted by (l_a, l_h, last_micro, fork), so row 0 is the start state
     (0, 0, NO_TIE, H_IN), from which the solver evaluates its policies.
     """
+    # The table grows as L^2: L = 100 takes 0.7 s and 150 MB to build.
+    require(2 <= truncation <= 100, "truncation must be between 2 and 100")
     size = truncation + 1
     l_a, l_h, last, fork = np.indices((size, size, len(LastMicro), len(Fork))).reshape(4, -1)
     valid = (fork == Fork.NO_TIE) | ((1 <= l_h) & (l_h <= l_a))
@@ -208,10 +210,10 @@ class _Skeleton:
     """Parameter-free MDP structure at one truncation, shared by its tables.
 
     Rows are flat (action, state) indices action * n + state.  Outcomes are
-    stored in rule-table order: rule by rule of _rules, then state by state
-    in enumerate_states order, so each available pair owns a contiguous run
-    in its rule's outcome order; csr_order lists them in the data order of
-    the transition matrix, whose indptr delimits each row's run.
+    stored once, in the data order of the transition matrix: by row, then by
+    next state's column, with indptr delimiting each row's run.  Probability
+    kinds ascend in every rule, so sorting a row's outcomes by kind gives
+    their rule order.
     """
 
     def __init__(self, truncation: int):
@@ -243,11 +245,12 @@ class _Skeleton:
                 np.tile(p_kinds, len(i)),
                 (np.array(r_kinds) * (truncation + 1) * len(LastMicro) + source[i, None]).ravel(),
             ))
-        self.row, self.col, self.prob_kind, self.reward_id = map(np.concatenate, zip(*parts))
+        row, col, prob_kind, reward_id = map(np.concatenate, zip(*parts))
         # No (row, col) pair repeats, so sorting the outcomes by row, then
         # column, gives the CSR pattern directly.
-        self.csr_order = np.lexsort((self.col, self.row))
-        self.indices = self.col[self.csr_order].astype(np.int32)
+        order = np.lexsort((col, row))
+        self.row, self.prob_kind, self.reward_id = row[order], prob_kind[order], reward_id[order]
+        self.indices = col[order].astype(np.int32)
         row_counts = np.bincount(self.row, minlength=len(ACTION_ORDER) * n)
         self.indptr = np.concatenate(([0], np.cumsum(row_counts))).astype(np.int32)
         self.available = np.diff(self.indptr) > 0
@@ -272,12 +275,11 @@ class TransitionTable:
     """
 
     def __init__(self, params: ProtocolParams, truncation: int):
-        # The table grows as L^2: L = 100 takes 0.7 s and 150 MB to build.
-        require(2 <= truncation <= 100, "truncation must be between 2 and 100")
+        # Checks the truncation before scipy loads.
+        skeleton = _skeleton(truncation)
         # Deferred so that importing the package does not load scipy.
         from scipy import sparse
 
-        skeleton = _skeleton(truncation)
         self.params = params
         self.truncation = truncation
         self.states = skeleton.states
@@ -292,7 +294,7 @@ class TransitionTable:
         c, a, b = np.moveaxis(skeleton.coefficients, -1, 0)
         self.reward_values = c + a * r + b * (1.0 - r)
         self.transition = sparse.csr_matrix(
-            (self.probability[skeleton.csr_order], skeleton.indices, skeleton.indptr),
+            (self.probability, skeleton.indices, skeleton.indptr),
             shape=(len(self.available), len(self.states)),
         )
 
@@ -323,16 +325,16 @@ class SolveResult:
     Dinkelbach steps; full value iteration sweeps and policy evaluation
     iterations, each summed over the steps; and the returned policy's
     stationary mass on the truncation boundary (l_a == L or l_h == L),
-    which is small when L is large enough.  policy is the ACTION_ORDER
-    index taken in each row of states, the table's own state array; bias
-    is the value iteration's last relative values and distribution the
-    policy's stationary distribution, which a solve started from this
-    result begins with.  The arrays are read-only and left out of ==,
-    which cannot compare them."""
+    which is small when L is large enough.  policy, bias and distribution
+    are indexed by the rows of enumerate_states(truncation), the table's
+    states: policy is the ACTION_ORDER index taken in each row, bias the
+    value iteration's last relative values and distribution the policy's
+    stationary distribution, which a solve started from this result begins
+    with.  The arrays are read-only and left out of ==, which cannot compare
+    them."""
 
     revenue: float
     policy: np.ndarray = field(compare=False)
-    states: np.ndarray = field(compare=False)
     outer_iterations: int
     truncation: int
     weights: RewardWeights
@@ -563,7 +565,6 @@ def solve(
     return SolveResult(
         revenue=best,
         policy=policy,
-        states=table.states,
         outer_iterations=outer,
         truncation=table.truncation,
         weights=weights,

@@ -253,8 +253,9 @@ def _show(state) -> str:
 
 def _compile(result: SolveResult) -> tuple:
     """Tabulate a policy's rollout: entry _CODES * i + code stands for row
-    i of result.states, taking action ACTION_ORDER[result.policy[i]],
-    followed by a key block with that draw code.
+    i of enumerate_states(result.truncation), taking action
+    ACTION_ORDER[result.policy[i]], followed by a key block with that draw
+    code.  Row 0 is the start state.
 
     Every action but REVERT mines one key block.  ADOPT settles the l_h
     public blocks on the honest miners, OVERRIDE the l_h + 1 private blocks
@@ -282,30 +283,29 @@ def _compile(result: SolveResult) -> tuple:
 
     Returns per entry the entry base _CODES * j of the next state (int32),
     the ledger delta (r_a, r_h, t_a, t_h, orphaned) and the truncation
-    boundary visits, and the start state's entry base.  Reverts fold into
-    the drawing step after them, which counts every state they pass; each
-    clears TIE_PRIME, S_H or H_EX, so two folds reach a drawing state.
-    Raises ValueError, naming the state, at the first row of result.states
+    boundary visits.  Reverts fold into the drawing step after them, which
+    counts every state they pass; each clears TIE_PRIME, S_H or H_EX, so two
+    folds reach a drawing state.  A revert changes only the fork or the
+    ancestor's microblocks, always to another state.  Raises ValueError,
+    naming the state, at the first row of enumerate_states(result.truncation)
     whose chain cannot be followed.
     """
-    from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction
+    from .mdp import ACTION_ORDER, Fork, LastMicro, MdpAction, enumerate_states
 
-    states, kind = result.states, result.policy
     L, r = result.truncation, result.params.split_ratio
+    states, kind = enumerate_states(L), result.policy
     own = np.arange(len(states))
+    if kind.shape != own.shape:
+        raise ValueError(f"a policy at L={L} needs one action in each of its {len(own)} states")
 
-    # Policy index over a box that holds every state and the start state;
-    # -1 marks a state the policy does not cover.
-    lo, hi = states.min(0, initial=0), states.max(0, initial=0)
-    slot, key = np.full(hi - lo + 1, -1), tuple((states - lo).T)
-    slot[key] = own
-    if kind.shape != own.shape or (slot[key] != own).any():
-        raise ValueError("a policy must take one action in each of its states, each state once")
+    # State index over the box of all field values; -1 marks no state.
+    slot = np.full((L + 1, L + 1, len(Fork), len(LastMicro)), -1)
+    slot[tuple(states.T)] = own
 
     def locate(targets: np.ndarray) -> np.ndarray:
-        inside = np.all((targets >= lo) & (targets <= hi), axis=-1)
+        inside = np.all((targets >= 0) & (targets < slot.shape), axis=-1)
         found = np.full(inside.shape, -1)
-        found[inside] = slot[tuple((targets[inside] - lo).T)]
+        found[inside] = slot[tuple(targets[inside].T)]
         return found
 
     def chose(*options: MdpAction) -> np.ndarray:
@@ -319,9 +319,7 @@ def _compile(result: SolveResult) -> tuple:
     reverted[~tie_prime & (last == LastMicro.S_H) & (l_h == 0), 3] = LastMicro.S_P
     reverted[~tie_prime & (last == LastMicro.H_EX) & (l_a == 0), 3] = LastMicro.H_IN
     stuck = reverts & np.all(reverted == states, axis=1)
-    revert_to = locate(reverted)
-    lost = reverts & ~stuck & (revert_to < 0)
-    fold = np.where(reverts & ~stuck & ~lost, revert_to, own)
+    fold = np.where(reverts & ~stuck, locate(reverted), own)
     drawing = fold[fold]
 
     # One key block with each draw code from every state, as (state, code).
@@ -372,27 +370,21 @@ def _compile(result: SolveResult) -> tuple:
         state, k = _show(states[j].tolist()), int(kind[j])
         if stuck[j]:
             raise ValueError(f"revert has no target in state {state}")
-        # Two folds reach a drawing state, so any other revert here is lost.
-        if not (mines[j] or reverts[j]):
+        if not mines[j]:
             raise ValueError(f"unknown action index {k} in state {state}")
-        action, successor = ACTION_ORDER[k].value, reverted[j]
-        if not lost[j]:
-            if negative[j].any():
-                raise ValueError(f"{action} gives a negative chain length in state {state}")
-            successor = following[j, np.argmax(target[j] < 0)]
+        action = ACTION_ORDER[k].value
+        if negative[j].any():
+            raise ValueError(f"{action} gives a negative chain length in state {state}")
+        successor = following[j, np.argmax(target[j] < 0)]
         raise ValueError(
             f"{action} in state {state} leads to {_show(successor.tolist())},"
             f" a state the policy (truncation L={L}) does not cover"
         )
-    start = (0, 0, Fork.NO_TIE, LastMicro.H_IN)
-    (begin,) = locate(np.array([start]))
-    if begin < 0:
-        raise ValueError(f"start state {_show(start)} missing from the policy")
     passed = 1 + (fold != own) + (drawing != fold)  # states a key block passes
     boundary = (l_a == L) | (l_h == L)
     visits = np.repeat(np.where(boundary[drawing], passed, 0), _CODES)
     successors = (_CODES * target[drawing]).astype(np.int32).reshape(-1)
-    return successors, delta[drawing].reshape(-1, 5), visits, _CODES * int(begin)
+    return successors, delta[drawing].reshape(-1, 5), visits
 
 
 def _scan(successors: np.ndarray, codes: np.ndarray, start: int, path: np.ndarray) -> int:
@@ -457,7 +449,7 @@ def _run_policy(config: SimConfig) -> SimReport:
         raise ValueError(
             f"policy was solved for {result.params}, not for the simulated {p}"
         )
-    successors, deltas, visits, s = _compile(result)
+    successors, deltas, visits = _compile(result)
     weights = config.effective_weights()
     kw, fw = weights.key_weight, weights.fee_weight
     sel_value = kw * deltas[:, _R_A] + fw * deltas[:, _T_A]
@@ -483,6 +475,7 @@ def _run_policy(config: SimConfig) -> SimReport:
     path = np.empty((rows, _CHUNK), np.int32)
     z = k = 0
     prev_selfish = False
+    s = 0  # the entry base of the start state, row 0
     for done in range(0, m, _SLICE):
         # One uniform draw per key block.
         u = draws[: min(_SLICE, m - done)]

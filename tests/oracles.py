@@ -49,7 +49,9 @@ class TableView(TransitionTable):
     """A transition table read one state at a time: the rows of states as
     MdpState tuples, the available actions of a state, the outcomes of a
     (state, action) pair in rule order, and every available pair with its
-    outcomes."""
+    outcomes.  The skeleton stores a pair's outcomes as one run of the
+    transition matrix's row, in column order; probability kinds ascend in
+    every rule, so sorting the run by kind gives the rule order."""
 
     @cached_property
     def state_tuples(self) -> list[MdpState]:
@@ -72,21 +74,18 @@ class TableView(TransitionTable):
         lo, hi = sk.indptr[flat], sk.indptr[flat + 1]
         if lo == hi:
             raise KeyError((state, action))
-        # Each pair's outcomes are one contiguous run in rule order; the CSR
-        # data order sorts them by target column.
-        first = sk.csr_order[lo:hi].min()
-        span = slice(first, first + hi - lo)
+        run = lo + np.argsort(sk.prob_kind[lo:hi])
         return [
             Outcome(self.state_tuples[col], probability, RewardTuple(*reward))
             for col, probability, reward in zip(
-                sk.col[span].tolist(),
-                self.probability[span].tolist(),
-                self.reward_values[sk.reward_id[span]].tolist(),
+                sk.indices[run].tolist(),
+                self.probability[run].tolist(),
+                self.reward_values[sk.reward_id[run]].tolist(),
             )
         ]
 
     def items(self) -> Iterator[tuple[MdpState, MdpAction, list[Outcome]]]:
-        for flat in dict.fromkeys(self._skeleton.row.tolist()):
+        for flat in np.flatnonzero(self.available).tolist():
             k, i = divmod(flat, len(self.states))
             state, action = self.state_tuples[i], ACTION_ORDER[k]
             yield state, action, self.outcomes(state, action)

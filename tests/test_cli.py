@@ -195,6 +195,8 @@ def test_usage_errors_are_one_line_exit_1(tmp_path, capsys, argv):
          "argument --seed: invalid int value"),
         (["simulate", "--strategy", "mdpPolicy", "--seed", "-1"], "--seed must be a non-negative"),
         (["simulate", "--strategy", "mdpPolicy", "--m", "1"], "--m must be between 2 and"),
+        (["pairs", "--alpha", "0.3", "--m", "3", "--delta", "0.5", "--trials", "10000000001"],
+         "--trials must be between 1 and"),
     ],
 )
 def test_errors_name_the_flag_typed(capsys, argv, message):

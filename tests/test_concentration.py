@@ -254,6 +254,11 @@ def test_empirical_summary_rejects_trials_longer_than_the_cap():
         cc.empirical_pair_summary(0.3, MAX_KEYBLOCKS + 1, 0.1, trials=1, seed=0)
 
 
+def test_empirical_summary_rejects_more_trials_than_the_cap():
+    with pytest.raises(ParameterError, match="trials must be between 1 and"):
+        cc.empirical_pair_summary(0.3, 3, 0.5, trials=MAX_KEYBLOCKS + 1, seed=0)
+
+
 def test_empirical_summary_memory_is_bounded():
     # No per-bit array is held: 10k x 10,001 draws are 800 MB.
     tracemalloc.start()

@@ -305,19 +305,17 @@ def test_policy_rollout_rejects_other_params(solved):
         run(SimConfig(other, MdpPolicy(result), 10_000, seed=1))
 
 
-def _honest_policy(truncation: int) -> tuple:
-    """(states, policy) that publish any lead at once and adopt any public
+def _honest_policy(truncation: int) -> np.ndarray:
+    """The policy that publishes any lead at once and adopts any public
     block."""
-    states = enumerate_states(truncation)
-    l_a, l_h = states[:, 0], states[:, 1]
+    l_a, l_h = enumerate_states(truncation)[:, :2].T
     override, adopt, wait = (
         ACTION_ORDER.index(a) for a in (MdpAction.OVERRIDE, MdpAction.ADOPT, MdpAction.WAIT)
     )
-    return states, np.select([l_a > l_h, l_h > 0], [override, adopt], wait)
+    return np.select([l_a > l_h, l_h > 0], [override, adopt], wait)
 
 
 def _hand_built(
-    states: np.ndarray,
     policy: np.ndarray,
     params: ProtocolParams,
     truncation: int,
@@ -326,7 +324,6 @@ def _hand_built(
     return SolveResult(
         revenue=params.alpha,
         policy=policy,
-        states=states,
         outer_iterations=0,
         truncation=truncation,
         weights=weights,
@@ -335,14 +332,14 @@ def _hand_built(
         eval_iterations=0,
         boundary_mass=0.0,
         # The cold solve's seeds: zero bias, all mass on the start state.
-        bias=np.zeros(len(states)),
-        distribution=np.eye(1, len(states)).ravel(),
+        bias=np.zeros(len(policy)),
+        distribution=np.eye(1, len(policy)).ravel(),
     )
 
 
 def test_hand_built_honest_policy_earns_fair_share():
     params = ProtocolParams(alpha=0.3)
-    result = _hand_built(*_honest_policy(3), params, 3)
+    result = _hand_built(_honest_policy(3), params, 3)
     rep = run(SimConfig(params, MdpPolicy(result), 100_000, seed=4))
     assert rep.relative_revenue == pytest.approx(0.3, abs=4 * rep.std_error)
     assert rep.orphaned_fee_units == 0.0 and rep.boundary_visits == 0
@@ -352,7 +349,7 @@ def test_policy_rollout_memory_is_bounded():
     # The policy's tables plus one slice of draws, codes and entries,
     # whatever the number of key blocks.
     params = ProtocolParams(alpha=0.4)
-    result = _hand_built(*_honest_policy(20), params, 20)
+    result = _hand_built(_honest_policy(20), params, 20)
     config = SimConfig(params, MdpPolicy(result), 1_000_000, seed=4)
     tracemalloc.start()
     try:
@@ -367,27 +364,34 @@ def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
     return (l_a, l_h, fork, last)
 
 
+def _case(number: int, state, action, message: str):
+    # A fixed number keeps a case's id when other cases leave the list.
+    return pytest.param(state, action, message, id=f"state{number}-{action}-{message}")
+
+
 @pytest.mark.parametrize(
     "state, action, message",
     [
-        (_state(2, 1), MdpAction.REVERT, "revert has no target in state (2, 1, NO_TIE, H_IN)"),
-        (_state(1, 1), MdpAction.OVERRIDE, "negative chain length in state (1, 1, NO_TIE, H_IN)"),
-        (_state(2, 0), MdpAction.ADOPT, "negative chain length in state (2, 0, NO_TIE, H_IN)"),
-        (_state(0, 2), MdpAction.MATCH, "negative chain length in state (0, 2, NO_TIE, H_IN)"),
-        (
+        _case(
+            0, _state(2, 1), MdpAction.REVERT, "revert has no target in state (2, 1, NO_TIE, H_IN)"
+        ),
+        _case(
+            1, _state(1, 1), MdpAction.OVERRIDE, "negative chain length in state (1, 1, NO_TIE, H_IN)"
+        ),
+        _case(
+            2, _state(2, 0), MdpAction.ADOPT, "negative chain length in state (2, 0, NO_TIE, H_IN)"
+        ),
+        _case(
+            3, _state(0, 2), MdpAction.MATCH, "negative chain length in state (0, 2, NO_TIE, H_IN)"
+        ),
+        _case(
+            4,
             _state(3, 1),
             MdpAction.WAIT,
             "wait in state (3, 1, NO_TIE, H_IN) leads to (4, 1, NO_TIE, H_IN)",
         ),
-        (_state(1, 0), None, "wait in state (0, 0, NO_TIE, H_IN) leads to (1, 0, NO_TIE, H_IN)"),
-        (_state(0, 0), None, "start state (0, 0, NO_TIE, H_IN) missing from the policy"),
-        (
-            {_state(2, 1, Fork.TIE_PRIME): MdpAction.REVERT, _state(2, 1, Fork.TIE): None},
-            None,
-            "revert in state (2, 1, TIE_PRIME, H_IN) leads to (2, 1, TIE, H_IN), a state"
-            " the policy (truncation L=3) does not cover",
-        ),
-        (
+        _case(
+            8,
             {
                 _state(2, 1, Fork.TIE_PRIME): MdpAction.REVERT,
                 _state(2, 1, Fork.TIE): MdpAction.REVERT,
@@ -395,53 +399,37 @@ def _state(l_a, l_h, fork=Fork.NO_TIE, last=LastMicro.H_IN):
             None,
             "revert has no target in state (2, 1, TIE, H_IN)",
         ),
-        (_state(1, 0), 8, "unknown action index 8 in state (1, 0, NO_TIE, H_IN)"),
-        (
+        _case(9, _state(1, 0), 8, "unknown action index 8 in state (1, 0, NO_TIE, H_IN)"),
+        _case(
+            10,
             _state(2, 1, last=LastMicro.S_H),
             MdpAction.REVERT,
             "revert has no target in state (2, 1, NO_TIE, S_H)",
         ),
-        (
-            # A key outside the truncation's states must not alias one inside.
-            {_state(3, 2): MdpAction.WAIT, _state(-1, 2): MdpAction.ADOPT},
-            None,
-            "wait in state (3, 2, NO_TIE, H_IN) leads to (4, 2, NO_TIE, H_IN), a state"
-            " the policy (truncation L=3) does not cover",
-        ),
-        (_state(1, 0), -1, "unknown action index -1 in state (1, 0, NO_TIE, H_IN)"),
+        _case(12, _state(1, 0), -1, "unknown action index -1 in state (1, 0, NO_TIE, H_IN)"),
     ],
 )
 def test_policy_rollout_rejects_inapplicable_action(state, action, message):
     # Every state is checked, reachable or not.  state is one state set to
-    # action, an MdpAction or an ACTION_ORDER index, or a dict of such
-    # edits; None drops the state's row, and a state with no row gets one.
-    states, policy = _honest_policy(3)
+    # action, an MdpAction or an ACTION_ORDER index, or a dict of such edits.
+    states, policy = enumerate_states(3), _honest_policy(3)
     for edited, choice in (state if isinstance(state, dict) else {state: action}).items():
         if isinstance(choice, MdpAction):
             choice = ACTION_ORDER.index(choice)
-        row = (states == edited).all(axis=1)
-        if choice is None:
-            states, policy = states[~row], policy[~row]
-        elif row.any():
-            policy[row] = choice
-        else:
-            states, policy = np.vstack([states, edited]), np.append(policy, choice)
+        policy[(states == edited).all(axis=1)] = choice
     params = ProtocolParams(alpha=0.3)
-    config = SimConfig(params, MdpPolicy(_hand_built(states, policy, params, 3)), 1_000, seed=4)
+    config = SimConfig(params, MdpPolicy(_hand_built(policy, params, 3)), 1_000, seed=4)
     with pytest.raises(ValueError, match=re.escape(message)):
         run(config)
 
 
 def test_policy_rollout_rejects_malformed_arrays():
-    # One action short, and the start state's row twice.
-    states, policy = _honest_policy(3)
+    # One action short.
     params = ProtocolParams(alpha=0.3)
-    for result in (
-        _hand_built(states, policy[1:], params, 3),
-        _hand_built(np.vstack([states, states[:1]]), np.append(policy, policy[0]), params, 3),
-    ):
-        with pytest.raises(ValueError, match="one action in each of its states, each state once"):
-            run(SimConfig(params, MdpPolicy(result), 1_000, seed=4))
+    result = _hand_built(_honest_policy(3)[1:], params, 3)
+    message = "^a policy at L=3 needs one action in each of its 112 states$"
+    with pytest.raises(ValueError, match=message):
+        run(SimConfig(params, MdpPolicy(result), 1_000, seed=4))
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.3])
@@ -451,7 +439,7 @@ def test_sm1_rollout_matches_eyal_sirer_closed_form(alpha):
     params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=0.4)
     table = build_transitions(params, truncation=20)
     policy = policy_of(table, lambda s: sm1_action(table, s))
-    result = _hand_built(table.states, policy, params, 20)
+    result = _hand_built(policy, params, 20)
     rep = run(SimConfig(params, MdpPolicy(result), 400_000, seed=1))
     assert abs(rep.relative_revenue - sm1_revenue(alpha, 0.5)) < 4 * rep.std_error
 
@@ -480,7 +468,7 @@ def test_policy_rollout_conserves_fee_units(
     else:
         pick = random.Random(policy_seed).choice
         policy = policy_of(table, lambda s: pick(table.actions(s)))
-        result = _hand_built(table.states, policy, params, truncation, weights)
+        result = _hand_built(policy, params, truncation, weights)
     rep = run(SimConfig(params, MdpPolicy(result), m, seed))
     keys = rep.selfish_key_rewards + rep.honest_key_rewards
     fees = rep.selfish_fees + rep.honest_fees + rep.orphaned_fee_units
@@ -494,13 +482,14 @@ def _step_by_step(config: SimConfig) -> tuple:
     one draw per key block.  Returns (ledger totals, boundary visits, z, k,
     the batch-means standard error of the revenue ratio)."""
     result, p, m = config.strategy.result, config.params, config.horizon_keyblocks
-    successors, deltas, entry_visits, base = _compile(result)
+    successors, deltas, entry_visits = _compile(result)
     weights = config.effective_weights()
     kw, fw = weights.key_weight, weights.fee_weight
     size = max(1, m // _BATCHES)
     batches = np.zeros((len(range(0, m, size)), 2))
     draws = np.random.default_rng(config.seed).random(m)
-    ledger, visits, z, k, prev = np.zeros(5), 0, 0, 0, False
+    # Row 0 is the start state, with entry base 0.
+    ledger, visits, z, k, prev, base = np.zeros(5), 0, 0, 0, False, 0
     for t, u in enumerate(draws.tolist()):
         selfish = u < p.alpha
         code = 0 if selfish else 1 if u < p.alpha + p.gamma * (1 - p.alpha) else 2
@@ -531,7 +520,7 @@ def _random_policy(truncation: int, policy_seed: int, m: int) -> tuple:
     pick = random.Random(policy_seed).choice
     policy = policy_of(table, lambda s: pick(table.actions(s)))
     weights = RewardWeights.from_regime("fee")
-    result = _hand_built(table.states, policy, params, truncation, weights)
+    result = _hand_built(policy, params, truncation, weights)
     return table, SimConfig(params, MdpPolicy(result), m, seed=5)
 
 
@@ -616,8 +605,8 @@ def test_chain_rules_agree_with_solver_table():
                 return preferred if preferred in table.actions(s) else table.actions(s)[0]
 
             policy = policy_of(table, choose)
-            result = _hand_built(table.states, policy, params, truncation)
-            successors, deltas, visits, _ = _compile(result)
+            result = _hand_built(policy, params, truncation)
+            successors, deltas, visits = _compile(result)
             for i, state in enumerate(table.state_tuples):
                 action = ACTION_ORDER[policy[i]]
                 entries = slice(3 * i, 3 * i + 3)
