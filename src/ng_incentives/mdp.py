@@ -41,15 +41,19 @@ The optimal relative revenue solves a ratio objective by Dinkelbach
 iteration: relative value iteration maximizes the long-run average of
 (selfish reward - w * total reward), and the exact ratio of the policy
 greedy in its last full sweep, from the stationary distribution of its
-chain, becomes the next w.  A solve may start from a neighbouring
-SolveResult at the same truncation, as a grid scan does: its policy's exact
-value on the new table is the first w.  The value iteration is modified
-policy iteration (Puterman and Shin, Management Science 1978): each full
-Bellman sweep that fails the span test is followed by a fixed number of
-sweeps of the greedy policy's own chain, which has about a quarter of the
-nonzeros.  Only a full sweep ends it, and its span test bounds the optimal
-gain whatever values it starts from, so the policy sweeps save full sweeps
-without loosening the gain's error bound.
+chain, becomes the next w.  A step needs only a policy whose ratio beats
+w, not the optimal one (Dinkelbach, Management Science 1967), so its value
+iteration also ends at the first full sweep that proves its greedy policy
+earns a positive average; only a step whose span test passed may end the
+solve.  A solve may start from a neighbouring SolveResult at the same
+truncation, as a grid scan does: its policy's exact value on the new table
+is the first w.  The value iteration is modified policy iteration
+(Puterman and Shin, Management Science 1978): each full Bellman sweep that
+ends nothing is followed by a fixed number of sweeps of the greedy policy's
+own chain, which has about a quarter of the nonzeros.  Only a full sweep
+ends it, and its bounds on the optimal gain hold whatever values it starts
+from, so the policy sweeps save full sweeps without loosening the gain's
+error bound.
 """
 from __future__ import annotations
 
@@ -379,26 +383,31 @@ def _rows_of(table: TransitionTable, rows: np.ndarray):
     )
 
 
-def _gain(
-    table: TransitionTable, reward: np.ndarray, values: np.ndarray
-) -> tuple:
-    """Optimal average of the transformed reward by relative value
-    iteration, modified as policy iteration (Puterman and Shin, Management
-    Science 1978).
+def _gain(table: TransitionTable, reward: np.ndarray, values: np.ndarray) -> tuple:
+    """Bounds on the optimal average of the transformed reward by relative
+    value iteration, modified as policy iteration (Puterman and Shin,
+    Management Science 1978).
 
     A full sweep applies the Bellman operator over all flat rows and picks
     the greedy actions: in each state the first action, in ACTION_ORDER,
-    whose value equals the sweep's maximum.  When its span test fails,
-    _POLICY_SWEEPS sweeps follow on the greedy policy's own chain, which
-    has about a quarter of the table's nonzeros, gathered from the table's
-    CSR arrays again only when the greedy actions change; they update the
-    values in place.  Only a full sweep stops the loop, and its span test
-    bounds the optimal gain whatever v it starts from, so the policy sweeps
-    leave the returned gain's error bound as it was.  The damping mixes in
-    a self-loop, which removes periodicity without changing the average
-    reward.  Returns (gain, the largest entry of Tv - v in the last full
-    sweep, bias values, flat rows and transition rows of the policy greedy
-    in the last full sweep, full sweeps).
+    whose value equals the sweep's maximum (argmax; unavailable rows are
+    -inf and no value is NaN).  Its lo and hi, the smallest and largest
+    entries of Tv - v, bound the optimal gain (Puterman 1994, section 8.5).
+    The loop ends at a full sweep that either passes the span test,
+    hi - lo < _EPS_INNER, or has lo > _EPS_INNER: then the greedy policy
+    pi satisfies r_pi + P_pi v = Tv >= v + lo, so its own gain, and the
+    average it earns from any state, is at least lo > 0.  That is all a
+    Dinkelbach step needs, since a positive gain of selfish - w * total
+    means a ratio above w.  Otherwise _POLICY_SWEEPS sweeps follow on the
+    greedy policy's own chain, which has about a quarter of the table's
+    nonzeros, gathered from the table's CSR arrays again only when the
+    greedy actions change; they update the values in place.  Only a full
+    sweep ends the loop, and its bounds hold whatever v it starts from, so
+    the policy sweeps leave them as they were.  The damping mixes in a
+    self-loop, which removes periodicity without changing the average
+    reward.  Returns (lo, hi, whether the span test passed, bias values,
+    flat rows and transition rows of the policy greedy in the last full
+    sweep, full sweeps).
     """
     n = len(table.states)
     v = values
@@ -406,10 +415,7 @@ def _gain(
     for sweep in range(1, _MAX_INNER + 1):
         q = (reward + table.transition @ v).reshape(len(ACTION_ORDER), -1)
         best = q.max(axis=0)
-        # Last action first, so the first maximal action is written last.
-        greedy = np.empty(n, np.intp)
-        for k in range(len(ACTION_ORDER) - 1, -1, -1):
-            greedy[q[k] == best] = k
+        greedy = q.argmax(axis=0)
         if not np.array_equal(greedy, actions):
             actions = greedy
             rows = actions * n + np.arange(n)
@@ -418,8 +424,9 @@ def _gain(
         lo, hi = diff.min(), diff.max()
         v = v + _DAMPING * diff
         v -= v[0]
-        if hi - lo < _EPS_INNER:
-            return (hi + lo) / 2.0, hi, v, rows, chain, sweep
+        converged = hi - lo < _EPS_INNER
+        if converged or lo > _EPS_INNER:
+            return lo, hi, converged, v, rows, chain, sweep
         for _ in range(_POLICY_SWEEPS):
             # v <- (1 - d) v + d (r + P v) in place, rounded as that expression is.
             step = chain @ v
@@ -504,6 +511,18 @@ def solve(
     evaluated, which is the one returned, with the diagnostics SolveResult
     lists.
 
+    A step may end early, at the first full sweep whose every entry of
+    Tv - v exceeds _EPS_INNER (see _gain).  Its greedy policy pi then has
+    r_pi + P_pi v >= v + lo with lo = min(Tv - v) > _EPS_INNER; averaged
+    over pi's stationary distribution, its gain of selfish - w * total is
+    at least lo, so its ratio exceeds w by at least _EPS_INNER over the
+    largest total reward, far above rounding, and w rises at every early
+    step.  Such a step is evaluated like any other, but only a step whose
+    span test passed may stop the solve, and an early step has
+    max(Tv - v) > 0, so it cannot reach the max(Tv - v) <= 0 stop below
+    either: the stop, its certificate and the returned bias all come from
+    a step that converged.
+
     A start, a result solved at the same truncation (a neighbouring grid
     point, say), replaces w = 0 by the exact ratio of its policy on this
     table, evaluated from its distribution, and seeds the value iteration
@@ -543,6 +562,7 @@ def solve(
         chain = _rows_of(table, rows)
     w, best, best_rows = 0.0, -np.inf, None
     outer = sweeps = evaluations = 0
+    converged = False
     while True:
         if rows is not None:
             x, used = _stationary(chain, x)
@@ -550,11 +570,11 @@ def solve(
             ratio = float(x @ r_self[rows]) / float(x @ r_total[rows])
             if ratio > best:
                 best, best_rows, best_x = ratio, rows, x
-            # A start's own evaluation (outer == 0) never ends the solve.
-            if outer and (g <= _EPS_INNER or ratio <= w):
+            # Neither a start's own evaluation nor an early step ends the solve.
+            if converged and ((hi + lo) / 2.0 <= _EPS_INNER or ratio <= w):
                 break
             w = ratio
-        g, hi, v, rows, chain, used = _gain(table, r_self - w * r_total, v)
+        lo, hi, converged, v, rows, chain, used = _gain(table, r_self - w * r_total, v)
         outer += 1
         sweeps += used
         if hi <= 0.0 and best_rows is not None:

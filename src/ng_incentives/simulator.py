@@ -15,7 +15,8 @@ intervals' Exp(1) lengths, is one Gamma(n, 1) variate, its exact law; so a
 run draws a few variates per batch and none per key block.  The rollout of
 a solved selfish-mining policy instead draws one 64-bit uniform per key
 block and counts one fee unit per key-block interval, as the decision
-process does.
+process does; it scans the draws' codes through a table of its states
+three key blocks, one word, at a time.
 
 Both simulators report as std_error the batch-means standard error of the
 revenue ratio over _BATCHES batches of consecutive intervals or key blocks;
@@ -241,7 +242,13 @@ _CODES = 3
 _SELFISH, _MATCH_WIN, _HONEST = range(_CODES)
 # Ledger delta fields of one step, in this order.
 _R_A, _R_H, _T_A, _T_H, _ORPHANED = range(5)
-_CHUNK = 128  # draw codes per row of the rollout's parallel scan
+_WORDS = _CODES**3  # three-code words, 9 * c0 + 3 * c1 + c2
+# Words per row of the rollout's parallel scan: 132 key blocks, a multiple
+# of 2, 3 and 4.  Every row's first guess is the state row 0 starts in, so
+# on a chain whose states cycle with such a period it starts in the right
+# part of the cycle.  With an odd number of key blocks per row, paths on a
+# chain of period 2 would never merge, and each pass would settle one row.
+_ROW = 44
 
 
 def _show(state) -> str:
@@ -387,23 +394,38 @@ def _compile(result: SolveResult) -> tuple:
     return successors, delta[drawing].reshape(-1, 5), visits
 
 
-def _scan(successors: np.ndarray, codes: np.ndarray, start: int, path: np.ndarray) -> int:
-    """Scan rows of draw codes through a successor table, all rows at once.
+def _word_table(successors: np.ndarray) -> np.ndarray:
+    """The successor table of three-code words: entry _WORDS * i + word,
+    word = 9 * c0 + 3 * c1 + c2, holds _WORDS times the state three key
+    blocks with draw codes c0, c1, c2 lead to from state i.  Built from the
+    one-code table successors, whose entry _CODES * i + code holds _CODES
+    times the next state, in int32 throughout."""
+    word = np.arange(_WORDS, dtype=np.int32)
+    states = np.arange(len(successors) // _CODES, dtype=np.int32)
+    entry = _CODES * states[:, None] + word // 9
+    entry = successors.take(entry) + word // 3 % 3
+    entry = successors.take(entry) + word % 3
+    return (successors.take(entry) * (_WORDS // _CODES)).reshape(-1)
 
-    codes and path hold one row of _CHUNK key blocks per row, in key-block
-    order; path receives the entry (state base + code) of every key block on
-    the sequential path from entry base start.  This is a speculative
-    data-parallel scan (Mytkowicz, Musuvathi & Schulte, "Data-Parallel
-    Finite-State Machines", ASPLOS 2014): every row first starts from start
-    as a guess, and all rows advance through their codes in lockstep.  Then
-    each row whose start differs from the previous row's end runs again
-    from that end, until no row differs.  Paths from different states
-    mostly merge within a row, so a rerun stops as soon as every rerun row
-    has rejoined its previous path, and only rows that never merged pass a
-    wrong end on to another pass.  Row 0 starts from the true state, so each
-    pass makes at least the first differing row final: the scan ends with
-    the sequential path after at most as many passes as rows, and returns
-    the number of passes.
+
+def _scan(successors: np.ndarray, codes: np.ndarray, start: int, path: np.ndarray) -> int:
+    """Scan rows of codes through a successor table, all rows at once.
+
+    codes and path hold one row of _ROW codes per row, in order; path
+    receives the entry (state base + code) of every code on the sequential
+    path from entry base start.  The rollout scans three-code words through
+    _word_table's table.  This is a speculative data-parallel scan
+    (Mytkowicz, Musuvathi & Schulte, "Data-Parallel Finite-State Machines",
+    ASPLOS 2014): every row first starts from start as a guess, and all
+    rows advance through their codes in lockstep.  Then each row whose
+    start differs from the previous row's end runs again from that end,
+    until no row differs.  Paths from different states mostly merge within
+    a row, so a rerun stops as soon as every rerun row has rejoined its
+    previous path, and only rows that never merged pass a wrong end on to
+    another pass.  Row 0 starts from the true state, so each pass makes at
+    least the first differing row final: the scan ends with the sequential
+    path after at most as many passes as rows, and returns the number of
+    passes.
     """
     first = np.full(len(codes), start, np.int32)
     last = np.empty_like(first)
@@ -413,12 +435,12 @@ def _scan(successors: np.ndarray, codes: np.ndarray, start: int, path: np.ndarra
         passes += 1
         s, block = first[todo], codes[todo]
         lane = path[todo]  # a view of path on the first pass, a copy after
-        for j in range(_CHUNK):
+        for j in range(codes.shape[1]):
             entry = s + block[:, j]
             # Once every stale row has rejoined the path of its last pass,
-            # the rest of that path and its end stand.  Checked every eighth
+            # the rest of that path and its end stand.  Checked every second
             # step: the check costs about half a step.
-            if passes > 1 and j % 8 == 0 and (entry == lane[:, j]).all():
+            if passes > 1 and j % 2 == 0 and (entry == lane[:, j]).all():
                 s = last[todo]
                 break
             lane[:, j] = entry
@@ -436,11 +458,15 @@ def _run_policy(config: SimConfig) -> SimReport:
 
     Tabulates the chain semantics of the policy's actions for every state
     once (_compile), then scans the seeded draw stream through the resulting
-    table, one slice of _SLICE key blocks at a time, with _scan.  The
-    ledger is written here, independently of the solver's transition table,
-    so the rollout checks the solver's reward accounting.  Totals are entry
-    visit counts times entry ledger deltas; each key block's selfish and
-    total values also add into its batch's sums.
+    table, one slice of _SLICE key blocks at a time.  Each slice's draw
+    codes are packed three to a word, the last word padded with code 0, and
+    _scan runs the words through _word_table's table, which yields the
+    state at the start of every word; two passes through the one-code table
+    then give every key block's entry.  The ledger is written here,
+    independently of the solver's transition table, so the rollout checks
+    the solver's reward accounting.  Totals are entry visit counts times
+    entry ledger deltas; each key block's selfish and total values also add
+    into its batch's sums.
     """
     assert isinstance(config.strategy, MdpPolicy)
     result = config.strategy.result
@@ -450,6 +476,7 @@ def _run_policy(config: SimConfig) -> SimReport:
             f"policy was solved for {result.params}, not for the simulated {p}"
         )
     successors, deltas, visits = _compile(result)
+    jumps = _word_table(successors)
     weights = config.effective_weights()
     kw, fw = weights.key_weight, weights.fee_weight
     sel_value = kw * deltas[:, _R_A] + fw * deltas[:, _T_A]
@@ -464,15 +491,18 @@ def _run_policy(config: SimConfig) -> SimReport:
     batches = len(range(0, m, size))
     batch_selfish = np.zeros(batches)
     batch_total = np.zeros(batches)
-    # One slice's draws (then its key blocks' values), selfish flags, and
-    # codes and entries in rows of _CHUNK.  The last row of the last slice
-    # may run past the slice on stale codes, valid because codes start at
-    # 0; its entries there are never read.
+    # One slice's draws (then its key blocks' values) and selfish flags;
+    # its codes and entries by word, then code; its words and their start
+    # entries in rows of _ROW.  The last row of the last slice may run past
+    # the slice on stale words, valid because codes start at 0; its entries
+    # there are never read.
     draws = np.empty(min(_SLICE, m))
     selfish_buffer = np.empty(draws.size, bool)
-    rows = -(-draws.size // _CHUNK)
-    codes = np.zeros((rows, _CHUNK), np.uint8)
-    path = np.empty((rows, _CHUNK), np.int32)
+    rows = -(-draws.size // (_CODES * _ROW))
+    codes = np.zeros((rows * _ROW, _CODES), np.uint8)
+    entries = np.empty(codes.shape, np.int32)
+    words = np.zeros((rows, _ROW), np.uint8)
+    path = np.empty((rows, _ROW), np.int32)
     z = k = 0
     prev_selfish = False
     s = 0  # the entry base of the start state, row 0
@@ -490,16 +520,30 @@ def _run_policy(config: SimConfig) -> SimReport:
         z += int(np.count_nonzero(before & ~selfish))
         k += int(np.count_nonzero(selfish & ~before))
         prev_selfish = selfish[-1]
-        used = -(-u.size // _CHUNK)
-        _scan(successors, codes[:used], s, path[:used])
-        entries = path.reshape(-1)[: u.size]
-        s = successors[entries[-1]]
-        counts += np.bincount(entries, minlength=counts.size)
+        used = -(-u.size // _CODES)
+        codes.reshape(-1)[u.size : _CODES * used] = 0
+        c0, c1, c2 = codes[:used].T
+        word = words.reshape(-1)[:used]
+        np.multiply(c0, 9, out=word)
+        word += 3 * c1
+        word += c2
+        scanned = -(-used // _ROW)
+        _scan(jumps, words[:scanned], s * (_WORDS // _CODES), path[:scanned])
+        # Each word's start entry, less its word, is _WORDS times its state.
+        e0, e1, e2 = entries[:used].T
+        np.subtract(path.reshape(-1)[:used], word, out=e0)
+        e0 //= _WORDS // _CODES
+        e0 += c0
+        np.add(successors.take(e0), c1, out=e1)
+        np.add(successors.take(e1), c2, out=e2)
+        visited = entries.reshape(-1)[: u.size]
+        s = successors[visited[-1]]
+        counts += np.bincount(visited, minlength=counts.size)
         # Batch b holds key blocks b * size to (b + 1) * size - 1.
         lo, hi = done // size, (done + u.size - 1) // size + 1
         edges = np.maximum(np.arange(lo, hi) * size - done, 0)
-        batch_selfish[lo:hi] += np.add.reduceat(np.take(sel_value, entries, out=u), edges)
-        batch_total[lo:hi] += np.add.reduceat(np.take(all_value, entries, out=u), edges)
+        batch_selfish[lo:hi] += np.add.reduceat(np.take(sel_value, visited, out=u), edges)
+        batch_total[lo:hi] += np.add.reduceat(np.take(all_value, visited, out=u), edges)
 
     r_a, r_h, t_a, t_h, orphaned = np.sum(counts[:, None] * deltas, axis=0).tolist()
     sel_total = kw * r_a + fw * t_a

@@ -467,6 +467,37 @@ def test_no_policy_beats_the_returned_revenue(alpha, gamma, r, regime):
     assert abs(optimal_gain(table, r_self - result.revenue * r_total)) <= mdp._EPS_INNER
 
 
+@pytest.mark.parametrize("regime", ["fee", "key"])
+@pytest.mark.parametrize("alpha", [0.3, 0.4, 0.45])
+def test_early_dinkelbach_step_returns_a_policy_that_beats_w(alpha, regime):
+    # A value iteration that ends before its span test passes must return
+    # the greedy policy of a sweep whose every entry of Tv - v is at least
+    # lo: that policy's average of r_self - w * r_total, from its exact
+    # stationary distribution, is at least lo > 0, so its exact ratio
+    # exceeds w.  Cold, at w = 0, halfway to the optimum and just above it,
+    # where no policy beats w and so no step may end early.
+    params = ProtocolParams(alpha=alpha, gamma=0.5, split_ratio=0.4)
+    table = build_transitions(params, truncation=20)
+    weights = RewardWeights.from_regime(regime)
+    n = len(table.states)
+    revenue = solve(table, weights).revenue
+    r_self, r_total = table.expected_rewards(weights)
+    early = 0
+    for w in (0.0, revenue / 2, revenue + 1e-6):
+        reward = np.where(table.available, r_self - w * r_total, -np.inf)
+        lo, hi, converged, _, rows, _, _ = mdp._gain(table, reward, np.zeros(n))
+        if converged:
+            continue
+        early += 1
+        assert mdp._EPS_INNER < lo <= hi
+        policy = rows // n
+        assert policy_value(table, weights, policy) > w
+        pi = stationary_distribution(table, policy)
+        assert pi @ (r_self[rows] - w * r_total[rows]) >= lo - 1e-12
+    # Every case here ends early; a grid that never did would test nothing.
+    assert early
+
+
 @pytest.mark.parametrize("start", ["neighbour", "far"])
 @pytest.mark.parametrize("alpha, gamma, r, regime", CERTIFIED_GRID)
 def test_warm_started_solve_is_certified_optimal(alpha, gamma, r, regime, start):

@@ -29,10 +29,12 @@ from ng_incentives.simulator import (
     MdpPolicy,
     SimConfig,
     _BATCHES,
-    _CHUNK,
+    _ROW,
     _SLICE,
+    _WORDS,
     _compile,
     _scan,
+    _word_table,
     run,
 )
 
@@ -540,13 +542,23 @@ def test_random_policy_rollout_matches_exact_value_and_reference(truncation, pol
     assert fees == pytest.approx(tuple(ledger[2:]), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("m", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, _SLICE + 1])
+_R = 3 * _ROW  # key blocks per scan row, three to a word
+
+
+@pytest.mark.parametrize(
+    "m", [2, 3, 4, 127, 128, 129, _R - 1, _R, _R + 1, _SLICE + 1, _SLICE + 2]
+)
 @pytest.mark.parametrize("truncation, policy_seed", _RANDOM_POLICIES)
 def test_policy_rollout_scan_matches_reference_at_edges(
     truncation, policy_seed, m, monkeypatch
 ):
-    # m = 2 is the shortest run; m around _CHUNK gives a partial, a full and
-    # a second scan row; _SLICE + 1 a second slice of one key block.
+    # m = 2 is the shortest run, one word with a padded code; 3 and 4 one
+    # full word and a second of one code.  127 to 129 give a partial row
+    # whose last word holds one, two and three codes; m around _R a row
+    # short by one key block, a full row and a second row.  _SLICE + 1 and
+    # _SLICE + 2 give a second slice of one and two key blocks; a slice is
+    # not a whole number of words, so the first slice ends on a padded
+    # word too.
     passes = []
 
     def counted(successors, codes, start, path):
@@ -572,21 +584,41 @@ def test_policy_rollout_scan_matches_reference_at_edges(
 
 
 def test_scan_is_exact_when_paths_never_merge():
-    # A successor table that permutes the states for every code: paths from
-    # different states never merge, so only the pass bound ends the scan.
+    # A successor table that permutes the states for every code, so its
+    # word table permutes them for every word: paths from different states
+    # never merge, and only the pass bound ends the scan.  The scanned word
+    # entries must be those of the sequential walk, one code at a time,
+    # through the one-code table.
     states, rows = 7, 5
     successors = np.array(
         [3 * ((i + code + 1) % states) for i in range(states) for code in range(3)], np.int32
     )
-    codes = np.random.default_rng(3).integers(0, 3, (rows, _CHUNK), dtype=np.uint8)
-    path = np.empty((rows, _CHUNK), np.int32)
-    passes = _scan(successors, codes, 6, path)
+    jumps = _word_table(successors)
+    assert jumps.dtype == np.int32 and jumps.shape == (_WORDS * states,)
+    words = np.random.default_rng(3).integers(0, _WORDS, (rows, _ROW), dtype=np.uint8)
+    path = np.empty((rows, _ROW), np.int32)
+    passes = _scan(jumps, words, _WORDS * 6, path)
     expected, s = [], 6
-    for code in codes.ravel().tolist():
-        expected.append(s + code)
-        s = int(successors[s + code])
+    for word in words.ravel().tolist():
+        expected.append(_WORDS * s + word)
+        for code in (word // 9, word // 3 % 3, word % 3):
+            s = int(successors[3 * s + code]) // 3
     assert path.ravel().tolist() == expected
     assert 1 <= passes <= rows
+
+
+def test_scan_of_a_period_two_chain_takes_one_pass():
+    # Two states that swap at every key block, whatever its code: paths
+    # from the two states never merge.  Every row starts an even number of
+    # key blocks after row 0, so in the state row 0 starts in, the guess of
+    # the first pass, and no row runs again.
+    successors = np.array([3, 3, 3, 0, 0, 0], np.int32)
+    rows = 9
+    words = np.random.default_rng(5).integers(0, _WORDS, (rows, _ROW), dtype=np.uint8)
+    path = np.empty((rows, _ROW), np.int32)
+    assert _scan(_word_table(successors), words, 0, path) == 1
+    state = np.arange(rows * _ROW).reshape(rows, _ROW) % 2
+    assert np.array_equal(path, _WORDS * state + words)
 
 
 def test_chain_rules_agree_with_solver_table():
